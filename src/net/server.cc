@@ -86,10 +86,13 @@ Server::~Server() { Stop(); }
 void Server::Stop() {
   std::call_once(stop_once_, [this] {
     draining_.store(true, std::memory_order_release);
-    // Closing the listener wakes the accept poll immediately; connection
-    // loops notice draining_ within one poll slice.
-    listen_fd_.Reset();
+    // Shutting the listener down refuses new connections and wakes the
+    // accept poll at once; connection loops notice draining_ within one
+    // poll slice. The fd itself is closed only after the accept thread,
+    // which reads it, has joined.
+    (void)::shutdown(listen_fd_.get(), SHUT_RDWR);
     if (accept_thread_.joinable()) accept_thread_.join();
+    listen_fd_.Reset();
     std::vector<std::thread> threads;
     {
       std::lock_guard<std::mutex> lock(threads_mu_);
@@ -112,8 +115,9 @@ void Server::AcceptLoop() {
       if (ready.code() == StatusCode::kDeadlineExceeded) continue;
       break;  // listener closed (Stop) or failed
     }
-    OwnedFd conn(::accept(listen_fd_.get(), nullptr, nullptr));
-    if (!conn.valid()) continue;
+    auto accepted = AcceptTcp(listen_fd_.get());
+    if (!accepted.ok()) continue;
+    OwnedFd conn = std::move(accepted).value();
     if (draining_.load(std::memory_order_acquire)) break;
     if (live_connections_.load(std::memory_order_acquire) >=
         options_.max_connections) {

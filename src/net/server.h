@@ -24,7 +24,9 @@
 //
 // Threading: one accept thread plus one thread per live connection,
 // bounded by max_connections (excess connections are closed on accept).
-// Stop() drains gracefully: the listener closes first, connection loops
+// Accepted sockets have TCP_NODELAY set (net::AcceptTcp), so small
+// response frames are never held back waiting for a delayed ACK.
+// Stop() drains gracefully: the listener shuts down first, connection loops
 // stop reading new requests, every request already admitted is answered,
 // then all threads join. Stop never touches the ModelManager — engines
 // keep serving in-process callers.

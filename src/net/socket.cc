@@ -38,6 +38,14 @@ Result<sockaddr_in> ResolveV4(const std::string& host, std::uint16_t port) {
   return addr;
 }
 
+// Request/response round trips are latency-bound; never Nagle-delay them.
+// Both ends need it: a small frame held by Nagle waits on the peer's
+// delayed ACK, which pins one-in-flight latency at the send interval.
+void SetNoDelay(int fd) {
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
 void OwnedFd::Reset() {
@@ -112,9 +120,14 @@ Result<OwnedFd> ConnectTcp(const std::string& host, std::uint16_t port,
     }
   }
   (void)::fcntl(fd.get(), F_SETFL, flags);  // back to blocking
-  const int one = 1;
-  // Request/response round trips are latency-bound; never Nagle-delay them.
-  (void)::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetNoDelay(fd.get());
+  return fd;
+}
+
+Result<OwnedFd> AcceptTcp(int listen_fd) {
+  OwnedFd fd(::accept(listen_fd, nullptr, nullptr));
+  if (!fd.valid()) return Errno("accept");
+  SetNoDelay(fd.get());
   return fd;
 }
 

@@ -70,6 +70,11 @@ Result<OwnedFd> ListenTcp(const std::string& host, std::uint16_t port,
 Result<OwnedFd> ConnectTcp(const std::string& host, std::uint16_t port,
                            int timeout_ms, int send_buffer_bytes = 0);
 
+/// Accepts one pending connection on a listening socket, with TCP_NODELAY
+/// set like ConnectTcp's sockets. IoError when accept fails (including a
+/// listener that was shut down).
+Result<OwnedFd> AcceptTcp(int listen_fd);
+
 /// Blocks until fd is readable (POLLIN) or timeout_ms elapses.
 Status WaitReadable(int fd, int timeout_ms);
 

@@ -737,11 +737,15 @@ void ServingEngine::BatcherLoop() {
       if (shutting_down_) return;
       continue;
     }
-    // Hold an incomplete batch briefly so concurrent Submits coalesce; a
-    // full batch (or shutdown drain) flushes immediately. A queued request
-    // with a deadline tightens the wait to its flush_by point (80% of its
-    // budget), so feasible deadlines are met instead of spent coalescing.
-    while (queue_.size() < options_.max_batch_size && !shutting_down_) {
+    // Coalesce only behind a running batch, like Nagle's algorithm: an idle
+    // engine cuts the batch at once, so a lone request never waits out a
+    // window. While a batch is in flight, hold the incomplete one so
+    // arrivals share the next GEMM, until it is full, max_wait_ms has
+    // passed since the oldest request, a queued request's flush_by (80% of
+    // its deadline budget) arrives, or the in-flight count drops to 0 (the
+    // completion path notifies queue_cv_). Shutdown drains at once.
+    while (batches_in_flight_ > 0 &&
+           queue_.size() < options_.max_batch_size && !shutting_down_) {
       auto wake = queue_.front().enqueue_time + max_wait;
       const std::size_t scan =
           std::min(queue_.size(), options_.max_batch_size);
@@ -759,7 +763,6 @@ void ServingEngine::BatcherLoop() {
     // bound can see and shed them — and lets the next batch grow to match
     // the arrival rate while this one runs. Shutdown skips the wait: the
     // drain path flushes everything through pool_->Wait().
-    constexpr std::size_t kMaxBatchesInFlight = 2;
     queue_cv_.wait(lock, [this] {
       return shutting_down_ || batches_in_flight_ < kMaxBatchesInFlight;
     });

@@ -6,12 +6,20 @@
 //     serve cache hits, score the rest as ONE batched GEMM. top_k >= 1
 //     returns ranked herb ids; top_k == 0 returns dense scores.
 //   * SubmitRequest — asynchronous (ranked mode only): returns a
-//     std::future<Response> immediately; a micro-batcher coalesces queued
-//     requests (up to max_batch_size, waiting at most max_wait_ms for
-//     stragglers — or less when a request's deadline demands it) into one
-//     GEMM executed on the shared ThreadPool. Admission is bounded: with
-//     max_queue_depth > 0 a full queue load-sheds new requests with
-//     kShedding instead of queueing unboundedly.
+//     std::future<Response> immediately; a micro-batcher fuses queued
+//     requests (up to max_batch_size) into one GEMM executed on the shared
+//     ThreadPool. Admission is bounded: with max_queue_depth > 0 a full
+//     queue load-sheds new requests with kShedding instead of queueing
+//     unboundedly.
+//
+// Dispatch rule (Nagle-style): when no batch is in flight the batcher cuts
+// a batch at once with whatever is queued, so a lone request pays no
+// coalescing delay. While a batch is scoring, arrivals queue behind it and
+// the incomplete next batch is held until it is full, max_wait_ms has
+// passed since its oldest request, a queued deadline's flush point
+// arrives, or the running batches finish — whichever comes first. Batches
+// therefore grow with load (arrivals during one GEMM share the next)
+// without an idle latency floor.
 //
 // Deadlines: a request with deadline_ms > 0 is answered kOk only if
 // scoring finished within its budget. The batcher flushes a pending batch
@@ -113,8 +121,9 @@ struct ServingEngineOptions {
   /// Upper bound on queries fused into one GEMM by the micro-batcher (and
   /// a validation bound for the synchronous batch API: 0 is invalid).
   std::size_t max_batch_size = 64;
-  /// How long the micro-batcher holds an incomplete batch hoping for more
-  /// queries before flushing it anyway.
+  /// Longest a request waits behind a running batch before its incomplete
+  /// batch takes the second in-flight slot anyway. An idle engine never
+  /// waits: with no batch in flight the batcher dispatches at once.
   double max_wait_ms = 0.2;
   /// DEPRECATED thread knob (kept for compatibility): worker threads
   /// executing micro-batches. 0 — the recommended setting — sizes the pool
@@ -414,10 +423,15 @@ class ServingEngine {
   /// queue_mu_). The batcher stops popping past kMaxBatchesInFlight so
   /// backlog builds in queue_ — where max_queue_depth can shed it —
   /// instead of in the pool's unbounded task queue, where it would be
-  /// invisible to admission control.
+  /// invisible to admission control. 0 means idle: the batcher then
+  /// dispatches without coalescing.
+  static constexpr std::size_t kMaxBatchesInFlight = 2;
   std::size_t batches_in_flight_ = 0;
   std::mutex shutdown_mu_;      // serialises Shutdown callers
   std::thread batcher_;         // started last (ctor body); joined in Shutdown
+
+  /// Test-only: holds in-flight batch slots to make dispatch deterministic.
+  friend class ServingEngineTestPeer;
 };
 
 /// Adapts a ServingEngine to the HerbRecommender interface so evaluators and

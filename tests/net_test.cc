@@ -3,6 +3,10 @@
 // in-process Handle, pipelining order, malformed-input behaviour,
 // admission-control shedding over the wire, graceful drain, and a
 // TSan-targeted concurrent connect/publish/query hammer.
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,6 +30,8 @@
 #include "src/tensor/matrix.h"
 #include "src/util/logging.h"
 #include "src/util/random.h"
+#include "src/util/string_util.h"
+#include "tests/serve_test_util.h"
 
 namespace smgcn {
 namespace net {
@@ -64,9 +70,7 @@ std::unique_ptr<serve::ModelManager> MakeManager(
 // --------------------------------------------------------------------------
 
 TEST(WireTest, RequestRoundTrip) {
-  serve::Request request;
-  request.symptoms = {4, 1, 9, 1};
-  request.top_k = 12;
+  serve::Request request = serve::MakeRequest({4, 1, 9, 1}, 12);
   request.deadline_ms = 7.5;
   request.model = "test-ckpt";
   request.version = "v1";
@@ -93,9 +97,7 @@ TEST(WireTest, RequestRoundTrip) {
 }
 
 TEST(WireTest, V2RequestRoundTrip) {
-  serve::Request request;
-  request.symptoms = {3, 8};
-  request.top_k = 5;
+  serve::Request request = serve::MakeRequest({3, 8}, 5);
   request.request_id = "client-abc-001";
   request.attribution = true;
   auto frame = wire::EncodeRequest(request);
@@ -116,9 +118,7 @@ TEST(WireTest, V2RequestRoundTrip) {
 }
 
 TEST(WireTest, RejectsBadRequestIds) {
-  serve::Request request;
-  request.symptoms = {1};
-  request.top_k = 5;
+  serve::Request request = serve::MakeRequest({1}, 5);
   request.request_id.assign(wire::kMaxWireRequestId + 1, 'x');
   EXPECT_FALSE(wire::EncodeRequest(request).ok());
   request.request_id = "has space";
@@ -232,9 +232,8 @@ TEST(WireTest, OversizedAttributionIsDroppedNotFatal) {
 }
 
 TEST(WireTest, EncodeRejectsUnrepresentableRequests) {
-  serve::Request dense;
-  dense.symptoms = {1};
-  dense.top_k = 0;  // dense mode is in-process only
+  // Dense mode (top_k == 0) is in-process only.
+  serve::Request dense = serve::MakeRequest({1}, 0);
   EXPECT_FALSE(wire::EncodeRequest(dense).ok());
 
   serve::Request huge;
@@ -242,17 +241,13 @@ TEST(WireTest, EncodeRejectsUnrepresentableRequests) {
   huge.symptoms.assign(wire::kMaxWireSymptoms + 1, 1);
   EXPECT_FALSE(wire::EncodeRequest(huge).ok());
 
-  serve::Request long_name;
-  long_name.symptoms = {1};
-  long_name.top_k = 5;
+  serve::Request long_name = serve::MakeRequest({1}, 5);
   long_name.model.assign(256, 'm');
   EXPECT_FALSE(wire::EncodeRequest(long_name).ok());
 }
 
 TEST(WireTest, DecoderRejectsMalformedFrames) {
-  serve::Request request;
-  request.symptoms = {1, 2};
-  request.top_k = 5;
+  serve::Request request = serve::MakeRequest({1, 2}, 5);
   auto frame = wire::EncodeRequest(request);
   ASSERT_TRUE(frame.ok());
 
@@ -302,9 +297,7 @@ TEST(WireTest, DecoderRejectsMalformedFrames) {
       wire::DecodeRequestPayload(lying.data(), lying.size(), 1).ok());
 
   // Truncated v2 frames must error too, never read past the buffer.
-  serve::Request v2_request;
-  v2_request.symptoms = {1, 2};
-  v2_request.top_k = 5;
+  serve::Request v2_request = serve::MakeRequest({1, 2}, 5);
   v2_request.request_id = "abc";
   v2_request.attribution = true;
   auto v2_frame = wire::EncodeRequest(v2_request);
@@ -359,6 +352,22 @@ TEST(HttpTest, ParseIntList) {
 // Server end-to-end
 // --------------------------------------------------------------------------
 
+TEST(SocketTest, AcceptedSocketsHaveNoDelay) {
+  std::uint16_t port = 0;
+  auto listener = ListenTcp("127.0.0.1", 0, 4, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto client = ConnectTcp("127.0.0.1", port, 2000);
+  ASSERT_TRUE(client.ok()) << client.status();
+  auto accepted = AcceptTcp(listener->get());
+  ASSERT_TRUE(accepted.ok()) << accepted.status();
+  for (const int fd : {accepted->get(), client->get()}) {
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    EXPECT_NE(nodelay, 0);
+  }
+}
+
 TEST(ServerTest, BinaryRoundTripMatchesInProcessHandle) {
   auto manager = MakeManager();
   auto server = Server::Start(manager.get());
@@ -369,9 +378,7 @@ TEST(ServerTest, BinaryRoundTripMatchesInProcessHandle) {
   auto client = Client::Connect(copts);
   ASSERT_TRUE(client.ok());
 
-  serve::Request request;
-  request.symptoms = {2, 4, 6};
-  request.top_k = 7;
+  serve::Request request = serve::MakeRequest({2, 4, 6}, 7);
   const serve::Response local = manager->Handle(request);
   ASSERT_TRUE(local.ok());
 
@@ -394,9 +401,7 @@ TEST(ServerTest, BinaryAttributionAndRequestIdRoundTrip) {
   auto client = Client::Connect(copts);
   ASSERT_TRUE(client.ok());
 
-  serve::Request request;
-  request.symptoms = {2, 4, 6};
-  request.top_k = 7;
+  serve::Request request = serve::MakeRequest({2, 4, 6}, 7);
   request.request_id = "wire-audit-1";
   request.attribution = true;
   auto response = (*client)->Call(request);
@@ -469,9 +474,8 @@ TEST(ServerTest, PipelinedResponsesComeBackInOrder) {
   // Distinct top_k per request tags each response with its request.
   constexpr int kDepth = 8;
   for (int i = 0; i < kDepth; ++i) {
-    serve::Request request;
-    request.symptoms = {1, 2, 3};
-    request.top_k = static_cast<std::size_t>(i + 1);
+    serve::Request request =
+        serve::MakeRequest({1, 2, 3}, static_cast<std::size_t>(i + 1));
     ASSERT_TRUE((*client)->Send(request).ok());
   }
   for (int i = 0; i < kDepth; ++i) {
@@ -492,17 +496,13 @@ TEST(ServerTest, InvalidRequestGetsErrorResponseAndConnectionSurvives) {
   ASSERT_TRUE(client.ok());
 
   // Framing-valid but semantically invalid: out-of-range symptom.
-  serve::Request bad;
-  bad.symptoms = {9999};
-  bad.top_k = 5;
+  serve::Request bad = serve::MakeRequest({9999}, 5);
   auto response = (*client)->Call(bad);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, serve::StatusCode::kInvalidArgument);
 
   // The stream is intact: a good request on the same connection works.
-  serve::Request good;
-  good.symptoms = {1, 2};
-  good.top_k = 5;
+  serve::Request good = serve::MakeRequest({1, 2}, 5);
   auto next = (*client)->Call(good);
   ASSERT_TRUE(next.ok());
   EXPECT_TRUE(next->ok());
@@ -596,10 +596,11 @@ TEST(ServerTest, HttpEndpoints) {
 TEST(ServerTest, WireSheddingWhenQueueIsFull) {
   serve::ModelManagerOptions mopts;
   mopts.engine_options.max_batch_size = 64;
-  mopts.engine_options.max_wait_ms = 400.0;  // hold the queue
   mopts.engine_options.max_queue_depth = 2;
   mopts.engine_options.cache_capacity = 0;
   auto manager = MakeManager(mopts);
+  auto engine = manager->Engine("test-ckpt");
+  ASSERT_TRUE(engine.ok());
   auto server = Server::Start(manager.get());
   ASSERT_TRUE(server.ok());
   ClientOptions copts;
@@ -607,13 +608,23 @@ TEST(ServerTest, WireSheddingWhenQueueIsFull) {
   auto client = Client::Connect(copts);
   ASSERT_TRUE(client.ok());
 
+  // Every in-flight slot busy: the engine pops nothing, so the burst backs
+  // up in its admission queue and exactly kBurst - max_queue_depth shed.
+  serve::ServingEngineTestPeer busy(*engine,
+                                    serve::ServingEngineTestPeer::kAllSlots);
   constexpr int kBurst = 10;
   for (int i = 0; i < kBurst; ++i) {
-    serve::Request request;
-    request.symptoms = {1, 2};
-    request.top_k = 5;
-    ASSERT_TRUE((*client)->Send(request).ok());
+    ASSERT_TRUE((*client)->Send(serve::MakeRequest({1, 2}, 5)).ok());
   }
+  // Responses come back in order, so the held requests block the stream:
+  // release the slots once the server has admitted (or shed) the burst.
+  const auto* shed_count = obs::Registry::Global().GetCounter(
+      (*engine)->obs_prefix() + "shed");
+  constexpr std::uint64_t kShed = kBurst - 2;
+  for (int spin = 0; spin < 5000 && shed_count->value() < kShed; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  busy.Release();
   int ok = 0;
   int shed = 0;
   for (int i = 0; i < kBurst; ++i) {
@@ -645,9 +656,7 @@ TEST(ServerTest, GracefulDrainAnswersAcceptedRequests) {
 
   constexpr int kInflight = 6;
   for (int i = 0; i < kInflight; ++i) {
-    serve::Request request;
-    request.symptoms = {1, 2, 3};
-    request.top_k = 5;
+    serve::Request request = serve::MakeRequest({1, 2, 3}, 5);
     ASSERT_TRUE((*client)->Send(request).ok());
   }
   // Drain guarantees answers for *admitted* requests, so wait until the
@@ -674,9 +683,7 @@ TEST(ServerTest, GracefulDrainAnswersAcceptedRequests) {
   // After Stop: no new connections...
   EXPECT_FALSE(Client::Connect(copts).ok());
   // ...but the manager itself still serves in-process callers.
-  serve::Request request;
-  request.symptoms = {1};
-  request.top_k = 5;
+  serve::Request request = serve::MakeRequest({1}, 5);
   EXPECT_TRUE(manager->Handle(request).ok());
 }
 
@@ -701,9 +708,7 @@ TEST(ServerTest, ConcurrentConnectPublishQueryHammer) {
         auto client = Client::Connect(copts);
         if (!client.ok()) continue;
         for (int i = 0; i < 5; ++i) {
-          serve::Request request;
-          request.symptoms = {1 + i, 7};
-          request.top_k = 5;
+          serve::Request request = serve::MakeRequest({1 + i, 7}, 5);
           auto response = (*client)->Call(request);
           if (response.ok() && response->ok()) {
             wire_ok.fetch_add(1, std::memory_order_relaxed);
@@ -722,7 +727,7 @@ TEST(ServerTest, ConcurrentConnectPublishQueryHammer) {
   threads.emplace_back([&manager, &stop] {
     int v = 2;
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)manager->Publish(MakeCheckpoint(), "v" + std::to_string(v++));
+      (void)manager->Publish(MakeCheckpoint(), StrFormat("v%d", v++));
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
   });

@@ -26,6 +26,7 @@
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/random.h"
+#include "tests/serve_test_util.h"
 
 namespace smgcn {
 namespace serve {
@@ -785,27 +786,10 @@ TEST(ServingEngineTest, ScoreBatchHammeredUnderParallelKernels) {
   parallel::SetNumThreads(1);
 }
 
-TEST(ServingEngineTest, MicroBatcherCoalesces) {
-  ServingEngineOptions options;
-  options.max_batch_size = 64;
-  options.max_wait_ms = 20.0;  // generous window so the queue fills up
-  options.cache_capacity = 0;  // force every query through the GEMM
-  auto engine = MakeEngine(options);
-  std::vector<std::future<Result<std::vector<std::size_t>>>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(engine->Submit({i % 24, (i + 1) % 24}, 5));
-  }
-  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
-  const ServingStatsSnapshot stats = engine->Stats();
-  // 32 queries must have shared GEMMs: far fewer batches than queries.
-  EXPECT_LT(stats.batches, 32u);
-  EXPECT_GT(stats.mean_batch_size, 1.0);
-}
-
 TEST(ServingEngineTest, ShutdownDrainsQueuedQueries) {
-  ServingEngineOptions options;
-  options.max_wait_ms = 50.0;  // queries would linger without the drain
-  auto engine = MakeEngine(options);
+  auto engine = MakeEngine();
+  // Every slot busy: the queries stay queued until the drain flushes them.
+  ServingEngineTestPeer busy(engine.get(), ServingEngineTestPeer::kAllSlots);
   std::vector<std::future<Result<std::vector<std::size_t>>>> futures;
   for (int i = 0; i < 20; ++i) {
     futures.push_back(engine->Submit({i % 24}, 5));
@@ -824,6 +808,67 @@ TEST(ServingEngineTest, DestructorDrainsImplicitly) {
     future = engine->Submit({1, 2}, 5);
   }  // ~ServingEngine must resolve the future
   EXPECT_TRUE(future.get().ok());
+}
+
+// --------------------------------------------------------------------------
+// Dispatch rule: coalesce only behind a running batch
+// --------------------------------------------------------------------------
+
+TEST(DispatchRuleTest, LoneRequestOnIdleEngineSkipsTheWindow) {
+  ServingEngineOptions options;
+  options.max_wait_ms = 5000.0;  // an idle engine must never wait this out
+  auto engine = MakeEngine(options);
+  auto future = engine->SubmitRequest(MakeRequest({1, 2}, 5));
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(2)),
+            std::future_status::ready);
+  EXPECT_TRUE(future.get().ok());
+}
+
+TEST(DispatchRuleTest, SubmitsCoalesceBehindARunningBatch) {
+  ServingEngineOptions options;
+  options.max_batch_size = 64;
+  options.max_wait_ms = 5000.0;
+  options.cache_capacity = 0;  // force every query through the GEMM
+  auto engine = MakeEngine(options);
+  ServingEngineTestPeer running(engine.get(), 1);
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 8;
+  std::vector<std::future<Response>> futures(kThreads * kPerThread);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const int n = t * kPerThread + i;
+        futures[n] =
+            engine->SubmitRequest(MakeRequest({n % 24, (n + 1) % 24}, 5));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  // The running batch finishing is what cuts the held one: all 32 queries
+  // share a single GEMM.
+  running.Release();
+  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+  auto& registry = obs::Registry::Global();
+  const std::string& prefix = engine->obs_prefix();
+  EXPECT_EQ(registry.GetCounter(prefix + "batches")->value(), 1u);
+  EXPECT_EQ(registry.GetCounter(prefix + "batched_queries")->value(),
+            static_cast<std::uint64_t>(kThreads * kPerThread));
+}
+
+TEST(DispatchRuleTest, DeadlineFlushCutsAHeldBatch) {
+  ServingEngineOptions options;
+  options.max_wait_ms = 5000.0;  // the held batch would wait this long...
+  auto engine = MakeEngine(options);
+  ServingEngineTestPeer running(engine.get(), 1);
+  Request request = MakeRequest({1, 2}, 5);
+  request.deadline_ms = 1000.0;  // ...but flush_by (800 ms) cuts it first
+  auto future = engine->SubmitRequest(std::move(request));
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(3)),
+            std::future_status::ready);
+  const Response response = future.get();
+  EXPECT_TRUE(response.ok()) << response.message;
 }
 
 // --------------------------------------------------------------------------
@@ -880,6 +925,7 @@ TEST(SlowQueryLogTest, SyncQueriesRecordStageBreakdown) {
   ServingEngineOptions options;
   options.slow_query_threshold_ms = 1e-6;  // everything is "slow"
   options.cache_capacity = 4;
+  options.cache_shards = 1;  // both queries fit whatever the salt hashes to
   auto engine = MakeEngine(options);
   ASSERT_TRUE(engine->slow_query_log().enabled());
   ASSERT_TRUE(engine->RecommendBatch({{1, 2}, {3, 4, 5}}, 7).ok());
@@ -910,12 +956,15 @@ TEST(SlowQueryLogTest, AsyncQueriesRecordQueueAndBatch) {
   options.slow_query_threshold_ms = 1e-6;
   options.cache_capacity = 0;  // force every query through the GEMM
   options.max_batch_size = 64;
-  options.max_wait_ms = 10.0;  // encourage coalescing
+  options.max_wait_ms = 5000.0;
   auto engine = MakeEngine(options);
+  // Submitted behind a (held) running batch, the queries coalesce.
+  ServingEngineTestPeer running(engine.get(), 1);
   std::vector<std::future<Result<std::vector<std::size_t>>>> futures;
   for (int i = 0; i < 16; ++i) {
     futures.push_back(engine->Submit({i % 24, (i + 3) % 24}, 5));
   }
+  running.Release();
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
   engine->Shutdown();
 
@@ -1044,7 +1093,6 @@ TEST(ServingEngineSwapTest, InFlightSubmitsFinishOnTheirSnapshot) {
   // were accepted under, even when the batcher executes them after the
   // publish landed.
   ServingEngineOptions options;
-  options.max_wait_ms = 20.0;  // hold batches long enough to swap mid-flight
   options.max_batch_size = 64;
   options.cache_capacity = 0;
   auto engine = MakeEngine(options);
@@ -1053,8 +1101,12 @@ TEST(ServingEngineSwapTest, InFlightSubmitsFinishOnTheirSnapshot) {
   ASSERT_TRUE(expected.ok());
 
   std::vector<std::future<Result<std::vector<std::size_t>>>> futures;
-  for (int i = 0; i < 8; ++i) futures.push_back(engine->Submit({2, 4}, 5));
-  ASSERT_TRUE(engine->Publish(MakeCheckpoint(12, 40, 8), "v2").ok());
+  {
+    // Every slot busy: the queries are still queued when the swap lands.
+    ServingEngineTestPeer busy(engine.get(), ServingEngineTestPeer::kAllSlots);
+    for (int i = 0; i < 8; ++i) futures.push_back(engine->Submit({2, 4}, 5));
+    ASSERT_TRUE(engine->Publish(MakeCheckpoint(12, 40, 8), "v2").ok());
+  }
   for (auto& f : futures) {
     auto result = f.get();
     ASSERT_TRUE(result.ok()) << result.status();
@@ -1180,9 +1232,7 @@ TEST(RequestSurfaceTest, RankedModeMatchesRecommend) {
   auto legacy = engine->Recommend({2, 4, 6}, 7);
   ASSERT_TRUE(legacy.ok());
 
-  Request request;
-  request.symptoms = {2, 4, 6};
-  request.top_k = 7;
+  Request request = MakeRequest({2, 4, 6}, 7);
   const Response response = engine->Handle(request);
   ASSERT_TRUE(response.ok()) << response.message;
   EXPECT_EQ(response.herb_ids, *legacy);
@@ -1194,9 +1244,7 @@ TEST(RequestSurfaceTest, SubmitShimMatchesSubmitRequest) {
   auto legacy = engine->Submit({3, 9}, 5).get();
   ASSERT_TRUE(legacy.ok());
 
-  Request request;
-  request.symptoms = {3, 9};
-  request.top_k = 5;
+  Request request = MakeRequest({3, 9}, 5);
   const Response response = engine->SubmitRequest(std::move(request)).get();
   ASSERT_TRUE(response.ok()) << response.message;
   EXPECT_EQ(response.herb_ids, *legacy);
@@ -1206,12 +1254,9 @@ TEST(RequestSurfaceTest, SubmitShimMatchesSubmitRequest) {
 TEST(RequestSurfaceTest, InvalidRequestsGetPerRequestErrors) {
   auto engine = MakeEngine();
   std::vector<Request> requests(3);
-  requests[0].symptoms = {1, 2};
-  requests[0].top_k = 5;
-  requests[1].symptoms = {};  // empty: invalid
-  requests[1].top_k = 5;
-  requests[2].symptoms = {999};  // out of range
-  requests[2].top_k = 5;
+  requests[0] = MakeRequest({1, 2}, 5);
+  requests[1] = MakeRequest({}, 5);  // empty: invalid
+  requests[2] = MakeRequest({999}, 5);  // out of range
   const auto responses = engine->HandleBatch(requests);
   EXPECT_TRUE(responses[0].ok());
   EXPECT_EQ(responses[1].status, StatusCode::kInvalidArgument);
@@ -1223,9 +1268,7 @@ TEST(RequestSurfaceTest, InvalidRequestsGetPerRequestErrors) {
 
 TEST(RequestSurfaceTest, VersionPinGuardsAcrossSwaps) {
   auto engine = MakeEngine();
-  Request pinned;
-  pinned.symptoms = {1, 2};
-  pinned.top_k = 5;
+  Request pinned = MakeRequest({1, 2}, 5);
   pinned.version = "v1";
   EXPECT_TRUE(engine->Handle(pinned).ok());
 
@@ -1250,9 +1293,7 @@ TEST(RequestSurfaceTest, VersionPinGuardsAcrossSwaps) {
 
 TEST(RequestSurfaceTest, AsyncRejectsDenseMode) {
   auto engine = MakeEngine();
-  Request request;
-  request.symptoms = {1};
-  request.top_k = 0;
+  Request request = MakeRequest({1}, 0);
   const Response response = engine->SubmitRequest(std::move(request)).get();
   EXPECT_EQ(response.status, StatusCode::kInvalidArgument);
   EXPECT_NE(response.message.find("synchronous"), std::string::npos);
@@ -1260,9 +1301,7 @@ TEST(RequestSurfaceTest, AsyncRejectsDenseMode) {
 
 TEST(RequestSurfaceTest, SyncDeadlineNeverReturnsLateOk) {
   auto engine = MakeEngine();
-  Request request;
-  request.symptoms = {1, 2};
-  request.top_k = 5;
+  Request request = MakeRequest({1, 2}, 5);
   request.deadline_ms = 1e-7;  // sub-nanosecond budget: always exceeded
   const Response response = engine->Handle(request);
   EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
@@ -1273,47 +1312,28 @@ TEST(RequestSurfaceTest, AsyncDeadlineExpiredBeforeBatchingIsSwept) {
   ServingEngineOptions options;
   options.max_wait_ms = 50.0;  // would hold the batch well past the budget
   auto engine = MakeEngine(options);
-  Request request;
-  request.symptoms = {1, 2};
-  request.top_k = 5;
+  Request request = MakeRequest({1, 2}, 5);
   request.deadline_ms = 1e-7;
   const Response response = engine->SubmitRequest(std::move(request)).get();
   EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(response.herb_ids.empty());
 }
 
-TEST(RequestSurfaceTest, FeasibleDeadlineIsServedNotShed) {
-  ServingEngineOptions options;
-  options.max_wait_ms = 5000.0;  // batcher would idle far past the budget...
-  auto engine = MakeEngine(options);
-  Request request;
-  request.symptoms = {1, 2};
-  request.top_k = 5;
-  request.deadline_ms = 500.0;  // ...but the deadline flushes it early
-  const auto start = std::chrono::steady_clock::now();
-  const Response response = engine->SubmitRequest(std::move(request)).get();
-  const double waited =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_TRUE(response.ok()) << response.message;
-  EXPECT_LT(waited, 2.0);  // answered within the budget, not max_wait
-}
-
 TEST(RequestSurfaceTest, FullQueueShedsWithSheddingStatus) {
   ServingEngineOptions options;
   options.max_batch_size = 64;
-  options.max_wait_ms = 400.0;  // hold the queue so the burst backs up
   options.max_queue_depth = 2;
   options.cache_capacity = 0;
   auto engine = MakeEngine(options);
 
+  // Every slot busy: the batcher pops nothing, so the burst backs up in the
+  // admission queue and exactly 10 - max_queue_depth requests are shed.
+  ServingEngineTestPeer busy(engine.get(), ServingEngineTestPeer::kAllSlots);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 10; ++i) {
-    Request request;
-    request.symptoms = {1, 2};
-    request.top_k = 5;
-    futures.push_back(engine->SubmitRequest(std::move(request)));
+    futures.push_back(engine->SubmitRequest(MakeRequest({1, 2}, 5)));
   }
+  busy.Release();
   std::size_t ok = 0;
   std::size_t shed = 0;
   for (auto& f : futures) {
@@ -1342,16 +1362,14 @@ TEST(RequestSurfaceTest, FullQueueShedsWithSheddingStatus) {
 TEST(RequestSurfaceTest, ShedRequestsCountInObsRegistry) {
   ServingEngineOptions options;
   options.max_batch_size = 64;
-  options.max_wait_ms = 300.0;
   options.max_queue_depth = 1;
   auto engine = MakeEngine(options);
+  ServingEngineTestPeer busy(engine.get(), ServingEngineTestPeer::kAllSlots);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 4; ++i) {
-    Request request;
-    request.symptoms = {1};
-    request.top_k = 3;
-    futures.push_back(engine->SubmitRequest(std::move(request)));
+    futures.push_back(engine->SubmitRequest(MakeRequest({1}, 3)));
   }
+  busy.Release();
   for (auto& f : futures) f.get();
   const auto* shed = obs::Registry::Global().GetCounter(
       engine->obs_prefix() + "shed");
@@ -1391,23 +1409,18 @@ TEST(RequestSurfaceTest, DeprecatedShimsWarnAtMostOncePerEntryPoint) {
 
 TEST(RequestSurfaceTest, ShutdownDrainAnswersQueuedRequests) {
   ServingEngineOptions options;
-  options.max_wait_ms = 200.0;
   options.max_batch_size = 64;
   auto engine = MakeEngine(options);
+  ServingEngineTestPeer busy(engine.get(), ServingEngineTestPeer::kAllSlots);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 16; ++i) {
-    Request request;
-    request.symptoms = {1, 2, 3};
-    request.top_k = 5;
-    futures.push_back(engine->SubmitRequest(std::move(request)));
+    futures.push_back(engine->SubmitRequest(MakeRequest({1, 2, 3}, 5)));
   }
   engine->Shutdown();  // drain: everything admitted is answered
   for (auto& f : futures) {
     EXPECT_TRUE(f.get().ok());
   }
-  Request late;
-  late.symptoms = {1};
-  late.top_k = 5;
+  Request late = MakeRequest({1}, 5);
   EXPECT_EQ(engine->SubmitRequest(std::move(late)).get().status,
             StatusCode::kUnavailable);
 }
@@ -1489,11 +1502,9 @@ TEST(AttributionTest, ParityAcrossPrecisionsPathsAndThreads) {
 
       // Path 3: batched alongside unrelated queries.
       std::vector<Request> batch(3);
-      batch[0].symptoms = {1, 9};
-      batch[0].top_k = kTopK;
+      batch[0] = MakeRequest({1, 9}, kTopK);
       batch[1] = request;
-      batch[2].symptoms = {0, 23, 11};
-      batch[2].top_k = kTopK;
+      batch[2] = MakeRequest({0, 23, 11}, kTopK);
       const std::vector<Response> batched = (*engine)->HandleBatch(batch);
       ASSERT_TRUE(batched[1].ok());
       CheckAttributionInvariants(batched[1], canonical);
@@ -1537,9 +1548,7 @@ TEST(AttributionTest, F64MatchesCheckpointReference) {
   core::InferenceCheckpoint reference_copy = ckpt;
   auto engine = ServingEngine::Create(std::move(ckpt));
   ASSERT_TRUE(engine.ok());
-  Request request;
-  request.symptoms = {2, 4, 6};
-  request.top_k = 5;
+  Request request = MakeRequest({2, 4, 6}, 5);
   request.attribution = true;
   const Response response = (*engine)->Handle(request);
   ASSERT_TRUE(response.ok());
@@ -1565,9 +1574,7 @@ TEST(AttributionTest, WithoutBiparTableFallsBackToWholeScore) {
   auto engine = ServingEngine::Create(
       MakeCheckpoint(24, 40, 8, true, /*with_herb_bipar=*/false));
   ASSERT_TRUE(engine.ok());
-  Request request;
-  request.symptoms = {1, 3};
-  request.top_k = 5;
+  Request request = MakeRequest({1, 3}, 5);
   request.attribution = true;
   const Response response = (*engine)->Handle(request);
   ASSERT_TRUE(response.ok());
@@ -1589,34 +1596,26 @@ TEST(AttributionTest, RequestIdMintedEchoedAndSlowLogged) {
   ASSERT_TRUE(engine.ok());
 
   // Client-supplied id is echoed on the sync path...
-  Request request;
-  request.symptoms = {2, 4};
-  request.top_k = 5;
+  Request request = MakeRequest({2, 4}, 5);
   request.request_id = "client-id-7";
   const Response echoed = (*engine)->Handle(request);
   ASSERT_TRUE(echoed.ok());
   EXPECT_EQ(echoed.request_id, "client-id-7");
 
   // ...and minted when absent, on both paths.
-  Request minted_req;
-  minted_req.symptoms = {2, 4};
-  minted_req.top_k = 5;
+  Request minted_req = MakeRequest({2, 4}, 5);
   const Response minted = (*engine)->Handle(minted_req);
   ASSERT_TRUE(minted.ok());
   EXPECT_FALSE(minted.request_id.empty());
   EXPECT_NE(minted.request_id, "client-id-7");
-  Request async_req;
-  async_req.symptoms = {1, 5};
-  async_req.top_k = 5;
+  Request async_req = MakeRequest({1, 5}, 5);
   async_req.request_id = "async-id-9";
   const Response async = (*engine)->SubmitRequest(std::move(async_req)).get();
   ASSERT_TRUE(async.ok());
   EXPECT_EQ(async.request_id, "async-id-9");
 
   // Minted ids are unique across requests.
-  Request another;
-  another.symptoms = {2, 4};
-  another.top_k = 5;
+  Request another = MakeRequest({2, 4}, 5);
   const Response minted2 = (*engine)->Handle(another);
   EXPECT_NE(minted2.request_id, minted.request_id);
 
@@ -1640,9 +1639,7 @@ TEST(AttributionTest, ErrorsAndDenseModeCarryNoAttribution) {
   auto engine = ServingEngine::Create(MakeCheckpoint(24, 40, 8, true, true));
   ASSERT_TRUE(engine.ok());
   // Invalid symptoms: error response still carries a request id.
-  Request bad;
-  bad.symptoms = {9999};
-  bad.top_k = 5;
+  Request bad = MakeRequest({9999}, 5);
   bad.attribution = true;
   bad.request_id = "bad-1";
   const Response error = (*engine)->Handle(bad);
@@ -1650,9 +1647,7 @@ TEST(AttributionTest, ErrorsAndDenseModeCarryNoAttribution) {
   EXPECT_FALSE(error.attribution.has_value());
   EXPECT_EQ(error.request_id, "bad-1");
   // Dense mode ignores the attribution flag (ranked-only contract).
-  Request dense;
-  dense.symptoms = {1, 2};
-  dense.top_k = 0;
+  Request dense = MakeRequest({1, 2}, 0);
   dense.attribution = true;
   const Response scores = (*engine)->Handle(dense);
   ASSERT_TRUE(scores.ok());
