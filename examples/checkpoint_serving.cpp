@@ -1,13 +1,15 @@
 // Production-flavoured example: train SMGCN once, export it as a binary
 // model artifact, publish it into a ModelManager and drive the serving
 // engine with a concurrent load generator — then hot-swap a second model
-// version mid-load with zero downtime, roll it back, and print the serving
-// stats. This is the model-lifecycle path production deploys use
+// version mid-load with zero downtime, roll it back, and print the engine's
+// counters. This is the model-lifecycle path production deploys use
 // (docs/API_TOUR.md §Model lifecycle).
 //
 // Run: ./build/examples/checkpoint_serving
 #include <cstdio>
 #include <future>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "src/core/smgcn_model.h"
 #include "src/data/split.h"
 #include "src/data/tcm_generator.h"
+#include "src/obs/registry.h"
 #include "src/serve/engine.h"
 #include "src/serve/model_manager.h"
 #include "src/util/logging.h"
@@ -102,11 +105,12 @@ int main() {
   const std::string model_name = receipt->model;
   auto engine = (*manager)->Engine(model_name);
   SMGCN_CHECK_OK(engine.status());
+  const std::shared_ptr<const serve::ModelSnapshot> snapshot =
+      (*engine)->Snapshot();
   std::printf("serving model '%s', active version %s: %zu symptoms, "
               "%zu herbs\n",
-              model_name.c_str(), (*engine)->active_version().c_str(),
-              (*engine)->store().num_symptoms(),
-              (*engine)->store().num_herbs());
+              model_name.c_str(), snapshot->version.c_str(),
+              snapshot->store.num_symptoms(), snapshot->store.num_herbs());
 
   // Sanity: the engine's batched path must reproduce the checkpoint
   // recommender's per-query scores exactly.
@@ -181,10 +185,17 @@ int main() {
 
   (*manager)->Shutdown();  // drain: every future above has resolved
 
-  const serve::ServingStatsSnapshot stats = live->Stats();
   std::printf("\nserved %d queries in %.2fs (%.0f QPS end-to-end)\n",
               kClients * kQueriesPerClient, load_seconds,
               kClients * kQueriesPerClient / load_seconds);
-  std::printf("engine stats: %s\n", stats.ToString().c_str());
+  // The engine's counters live in the obs registry under its scope.
+  const auto counter = [live](const std::string& name) {
+    return static_cast<unsigned long long>(
+        obs::Registry::Global().GetCounter(live->obs_prefix() + name)->value());
+  };
+  std::printf("engine counters: queries=%llu batches=%llu cache hits=%llu "
+              "misses=%llu\n",
+              counter("queries"), counter("batches"), counter("cache.hits"),
+              counter("cache.misses"));
   return 0;
 }

@@ -2,26 +2,9 @@
 
 #include "src/eval/metrics.h"
 #include "src/util/logging.h"
-#include "src/util/string_util.h"
 
 namespace smgcn {
 namespace core {
-
-Result<std::vector<std::vector<double>>> HerbRecommender::ScoreBatch(
-    const std::vector<std::vector<int>>& symptom_sets) const {
-  std::vector<std::vector<double>> out;
-  out.reserve(symptom_sets.size());
-  for (std::size_t i = 0; i < symptom_sets.size(); ++i) {
-    auto scores = Score(symptom_sets[i]);
-    if (!scores.ok()) {
-      return Status(scores.status().code(),
-                    StrFormat("query %zu: %s", i,
-                              scores.status().message().c_str()));
-    }
-    out.push_back(*std::move(scores));
-  }
-  return out;
-}
 
 eval::HerbScorer HerbRecommender::AsScorer() const {
   return [this](const std::vector<int>& symptom_set) {

@@ -13,10 +13,10 @@
 //   <prefix>hits       counter
 //   <prefix>misses     counter
 //   <prefix>evictions  counter
-//   <prefix>size       gauge (refreshed by Stats())
+//   <prefix>size       gauge (updated on every insert, eviction and Clear)
 //   <prefix>capacity   gauge
 //
-// Stats() assembles the CacheStats compatibility view from them.
+// Stats() assembles a CacheStats view from them.
 #ifndef SMGCN_SERVE_CACHE_H_
 #define SMGCN_SERVE_CACHE_H_
 

@@ -87,7 +87,7 @@ std::vector<float> DequantizeTableF32(const std::vector<std::int8_t>& q,
 
 /// Pre-packs the transposed herb table into the active kernel backend's
 /// gemm_s8_packed layout, hoisting the GEMM's per-call bt widening to build
-/// time. Empty when the backend has no packed form (scalar) — ScoreBatchS8
+/// time. Empty when the backend has no packed form (scalar) — ScoreBatchS8Raw
 /// then passes nullptr and the kernel handles bt itself.
 std::vector<std::int32_t> PackHerbsS8(const std::vector<std::int8_t>& bt,
                                       std::size_t d, std::size_t h) {
@@ -237,10 +237,36 @@ std::size_t EmbeddingStore::payload_bytes() const {
          sizeof(double);
 }
 
-tensor::Matrix EmbeddingStore::PoolSymptoms(
+void EmbeddingStore::ScoreBatchInto(const std::vector<CanonicalQuery>& batch,
+                                    std::vector<double>* rows) const {
+  const std::size_t h = num_herbs();
+  if (precision_ == tensor::Precision::kFloat64) {
+    // One B x d * d x H GEMM scores the whole batch (eq. 13).
+    const tensor::Matrix m =
+        BlockedScoresGemm(PoolAndActivateF64(batch), herb_embeddings_t_);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const double* row = m.row_data(i);
+      rows[i].assign(row, row + h);
+    }
+    return;
+  }
+  const float* scores = precision_ == tensor::Precision::kInt8
+                            ? ScoreBatchS8Raw(batch)
+                            : ScoreBatchF32Raw(batch);
+  // Reduced-precision paths widen straight into the caller's rows — no
+  // intermediate b x H f64 Matrix (a fresh multi-hundred-KB allocation per
+  // batch) and no second row copy on the engine side. assign() is a single
+  // converting pass with no value-init sweep.
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const float* row = scores + i * h;
+    rows[i].assign(row, row + h);
+  }
+}
+
+tensor::Matrix EmbeddingStore::PoolAndActivateF64(
     const std::vector<CanonicalQuery>& batch) const {
   SMGCN_CHECK(precision_ == tensor::Precision::kFloat64)
-      << "PoolSymptoms is the reference (f64) pooling path";
+      << "PoolAndActivateF64 is the reference (f64) pooling path";
   const std::size_t d = dim();
   tensor::Matrix pooled(batch.size(), d, 0.0);
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -255,74 +281,19 @@ tensor::Matrix EmbeddingStore::PoolSymptoms(
     const double inv = 1.0 / static_cast<double>(ids.size());
     for (std::size_t c = 0; c < d; ++c) out[c] *= inv;
   }
-  return pooled;
-}
-
-tensor::Matrix EmbeddingStore::ScoreBatch(
-    const std::vector<CanonicalQuery>& batch) const {
-  switch (precision_) {
-    case tensor::Precision::kFloat32:
-      return ScoreBatchF32(batch);
-    case tensor::Precision::kInt8:
-      return ScoreBatchS8(batch);
-    case tensor::Precision::kFloat64:
-      break;
-  }
-  return ScoreBatchF64(batch);
-}
-
-void EmbeddingStore::ScoreBatchInto(const std::vector<CanonicalQuery>& batch,
-                                    std::vector<double>* rows) const {
-  const std::size_t h = num_herbs();
-  const float* scores = nullptr;
-  switch (precision_) {
-    case tensor::Precision::kFloat32:
-      scores = ScoreBatchF32Raw(batch);
-      break;
-    case tensor::Precision::kInt8:
-      scores = ScoreBatchS8Raw(batch);
-      break;
-    case tensor::Precision::kFloat64:
-      break;
-  }
-  if (scores != nullptr) {
-    // Reduced-precision paths widen straight into the caller's rows — no
-    // intermediate b x H f64 Matrix (a fresh multi-hundred-KB allocation
-    // per batch) and no second row copy on the engine side. assign() is a
-    // single converting pass with no value-init sweep.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const float* row = scores + i * h;
-      rows[i].assign(row, row + h);
+  if (!has_si_mlp_) return pooled;
+  // ReLU(pooled W + b), eq. 12, applied to the whole batch at once. The
+  // bias row is added per query row (broadcast over the batch).
+  tensor::Matrix hidden = pooled.MatMul(si_weight_);
+  const double* bias = si_bias_.row_data(0);
+  for (std::size_t i = 0; i < hidden.rows(); ++i) {
+    double* row = hidden.row_data(i);
+    for (std::size_t c = 0; c < d; ++c) {
+      row[c] += bias[c];
+      if (row[c] < 0.0) row[c] = 0.0;
     }
-    return;
   }
-  const tensor::Matrix m = ScoreBatchF64(batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const double* row = m.row_data(i);
-    rows[i].assign(row, row + h);
-  }
-}
-
-tensor::Matrix EmbeddingStore::ScoreBatchF64(
-    const std::vector<CanonicalQuery>& batch) const {
-  tensor::Matrix pooled = PoolSymptoms(batch);
-  if (has_si_mlp_) {
-    // ReLU(pooled W + b), eq. 12, applied to the whole batch at once. The
-    // bias row is added per query row (broadcast over the batch).
-    tensor::Matrix hidden = pooled.MatMul(si_weight_);
-    const double* bias = si_bias_.row_data(0);
-    const std::size_t d = dim();
-    for (std::size_t i = 0; i < hidden.rows(); ++i) {
-      double* row = hidden.row_data(i);
-      for (std::size_t c = 0; c < d; ++c) {
-        row[c] += bias[c];
-        if (row[c] < 0.0) row[c] = 0.0;
-      }
-    }
-    pooled = std::move(hidden);
-  }
-  // One B x d * d x H GEMM scores the whole batch (eq. 13).
-  return BlockedScoresGemm(pooled, herb_embeddings_t_);
+  return hidden;
 }
 
 const float* EmbeddingStore::PoolAndActivateF32(
@@ -386,20 +357,6 @@ const float* EmbeddingStore::ScoreBatchF32Raw(
   return scores.data();
 }
 
-tensor::Matrix EmbeddingStore::ScoreBatchF32(
-    const std::vector<CanonicalQuery>& batch) const {
-  const std::size_t h = num_herbs();
-  const float* scores = ScoreBatchF32Raw(batch);
-  // Widened on the way out — the engine's top-k and cache layers stay
-  // precision-agnostic. Uninitialized: the widen loop writes every element,
-  // so the fill constructor's zero sweep over b x H doubles would be waste.
-  tensor::Matrix out = tensor::Matrix::Uninitialized(batch.size(), h);
-  double* dst = out.data();
-  const std::size_t n = batch.size() * h;
-  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<double>(scores[i]);
-  return out;
-}
-
 const float* EmbeddingStore::ScoreBatchS8Raw(
     const std::vector<CanonicalQuery>& batch) const {
   const std::size_t d = dim();
@@ -442,24 +399,6 @@ const float* EmbeddingStore::ScoreBatchS8Raw(
   return scores.data();
 }
 
-tensor::Matrix EmbeddingStore::ScoreBatchS8(
-    const std::vector<CanonicalQuery>& batch) const {
-  const std::size_t h = num_herbs();
-  const float* scores = ScoreBatchS8Raw(batch);
-  // Uninitialized for the same reason as the f32 path: the widen writes
-  // every element.
-  tensor::Matrix out = tensor::Matrix::Uninitialized(batch.size(), h);
-  double* dst = out.data();
-  const std::size_t n = batch.size() * h;
-  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<double>(scores[i]);
-  return out;
-}
-
-std::vector<double> EmbeddingStore::ScoreOne(const CanonicalQuery& query) const {
-  const tensor::Matrix scores = ScoreBatch({query});
-  return std::vector<double>(scores.data(), scores.data() + scores.cols());
-}
-
 Result<audit::QueryAttribution> EmbeddingStore::Attribute(
     const CanonicalQuery& query,
     const std::vector<std::size_t>& herb_ids) const {
@@ -487,7 +426,8 @@ Result<audit::QueryAttribution> EmbeddingStore::Attribute(
   // query was actually served in (and to a top-k cache hit, whose entry was
   // produced by the same path), so attribution never needs the original
   // batch context.
-  const std::vector<double> scores = ScoreOne(query);
+  std::vector<double> scores;
+  ScoreBatchInto({query}, &scores);
 
   // The activation row (post-pool, post-MLP) in the store's own arithmetic:
   // plain double for f64, the shared f32 pipeline for f32 and int8. The
@@ -495,18 +435,8 @@ Result<audit::QueryAttribution> EmbeddingStore::Attribute(
   std::vector<double> act(d);
   std::vector<float> act_f32;
   if (precision_ == tensor::Precision::kFloat64) {
-    tensor::Matrix pooled = PoolSymptoms({query});
-    if (has_si_mlp_) {
-      tensor::Matrix hidden = pooled.MatMul(si_weight_);
-      const double* bias = si_bias_.row_data(0);
-      double* row = hidden.row_data(0);
-      for (std::size_t c = 0; c < d; ++c) {
-        row[c] += bias[c];
-        if (row[c] < 0.0) row[c] = 0.0;
-      }
-      pooled = std::move(hidden);
-    }
-    const double* row = pooled.row_data(0);
+    const tensor::Matrix activations = PoolAndActivateF64({query});
+    const double* row = activations.row_data(0);
     for (std::size_t c = 0; c < d; ++c) act[c] = row[c];
   } else {
     std::vector<float> pooled_scratch;

@@ -84,26 +84,13 @@ class EmbeddingStore {
   /// at 1/8 plus per-row f32 scales and the MLP at f32).
   std::size_t payload_bytes() const;
 
-  /// Mean-pools each query's symptom embeddings into one row (B x d).
-  /// Queries must already be canonical (ids validated against
-  /// num_symptoms()). Double-precision (reference-path) pooling.
-  tensor::Matrix PoolSymptoms(const std::vector<CanonicalQuery>& batch) const;
-
-  /// Scores every herb for every query in one fused pass (B x H). Row i is
-  /// bit-identical to ScoreOne(batch[i]). The f32 store computes in float
-  /// through the dispatched kernels and widens the result.
-  tensor::Matrix ScoreBatch(const std::vector<CanonicalQuery>& batch) const;
-
-  /// Same scores as ScoreBatch, written into rows[0..batch.size()) (each
-  /// row is assigned H doubles). The serving hot path: reduced-precision
-  /// stores widen their f32 scores directly into the caller's buffers,
-  /// skipping the intermediate b x H f64 Matrix allocation and the second
-  /// per-row copy the Matrix return forces on the engine.
+  /// Scores every herb for every query in one fused pass, writing query i's
+  /// H scores into rows[i] for i in [0, batch.size()). Queries must already
+  /// be canonical (ids validated against num_symptoms()). Each row is
+  /// bit-identical to scoring that query alone. Reduced-precision stores
+  /// compute in float and widen straight into the caller's rows.
   void ScoreBatchInto(const std::vector<CanonicalQuery>& batch,
                       std::vector<double>* rows) const;
-
-  /// Herb scores for a single canonical query.
-  std::vector<double> ScoreOne(const CanonicalQuery& query) const;
 
   /// True when the store carries the pre-fusion Bipar-GCN herb component
   /// and Attribute() can split scores into bipar + synergy.
@@ -111,8 +98,8 @@ class EmbeddingStore {
 
   /// Decomposes the served score of each herb in `herb_ids` for `query`
   /// (see src/audit/audit.h for the math and the exact-residual contract).
-  /// The score itself is recomputed here through this store's own serving
-  /// path with batch size 1 — bit-identical to any served batch row by the
+  /// The score itself is recomputed here through ScoreBatchInto with batch
+  /// size 1 — bit-identical to any served batch row by the
   /// row-independence contract, so attribution needs no plumbing through
   /// the batcher or the top-k cache. The fusion split requires
   /// has_herb_bipar(); without it each herb reports bipar == score,
@@ -128,13 +115,13 @@ class EmbeddingStore {
  private:
   EmbeddingStore() = default;
 
-  tensor::Matrix ScoreBatchF64(const std::vector<CanonicalQuery>& batch) const;
-  tensor::Matrix ScoreBatchF32(const std::vector<CanonicalQuery>& batch) const;
-  tensor::Matrix ScoreBatchS8(const std::vector<CanonicalQuery>& batch) const;
+  /// f64 mean-pool + SI MLP: the activation block (B x d) the f64 herb
+  /// GEMM consumes, in plain double arithmetic.
+  tensor::Matrix PoolAndActivateF64(
+      const std::vector<CanonicalQuery>& batch) const;
   /// f32/int8 scoring guts: compute the b x H score block in f32 and return
   /// a pointer into per-thread scratch (valid until the next call on this
-  /// thread). ScoreBatch* wrap these with the f64 widen; ScoreBatchInto
-  /// widens straight into caller rows.
+  /// thread); ScoreBatchInto widens it into the caller's rows.
   const float* ScoreBatchF32Raw(const std::vector<CanonicalQuery>& batch) const;
   const float* ScoreBatchS8Raw(const std::vector<CanonicalQuery>& batch) const;
   /// Shared f32 mean-pool + SI MLP (both reduced-precision paths run the
@@ -189,7 +176,7 @@ class EmbeddingStore {
   // Build-time pre-pack of herbs_t_s8_ in the active kernel backend's
   // gemm_s8_packed layout — another derived cache (herbs_t_s8_ stays the
   // stored truth). Empty when the backend has no packed form (scalar);
-  // ScoreBatchS8 then passes nullptr and the kernel packs internally.
+  // ScoreBatchS8Raw then passes nullptr and the kernel packs internally.
   std::vector<std::int32_t> herb_packed_;
 };
 

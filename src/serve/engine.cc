@@ -1,8 +1,5 @@
 #include "src/serve/engine.h"
 
-#include <errno.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <map>
@@ -12,7 +9,6 @@
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 #include "src/obs/trace.h"
-#include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/string_util.h"
 
@@ -39,13 +35,18 @@ std::uint64_t NextSnapshotSalt() {
 
 /// Process-unique request ids for the audit trail: a counter run through
 /// the same mixer (so consecutive ids share no visible structure), rendered
-/// as 16 lowercase hex chars.
+/// as 16 lowercase hex chars. Every request mints one, so the digits are
+/// written directly: a printf-family call costs about a third of an int8
+/// query at paper shape.
 std::string MintRequestId() {
   static std::atomic<std::uint64_t> next{1};
-  const std::uint64_t id = CombineKey(
-      0x534d47434e524944ull /* "SMGCNRID" */,
-      next.fetch_add(1, std::memory_order_relaxed));
-  return StrFormat("%016llx", static_cast<unsigned long long>(id));
+  std::uint64_t id = CombineKey(0x534d47434e524944ull /* "SMGCNRID" */,
+                                next.fetch_add(1, std::memory_order_relaxed));
+  std::string out(16, '0');
+  for (auto it = out.rbegin(); it != out.rend(); ++it, id >>= 4) {
+    *it = "0123456789abcdef"[id & 0xf];
+  }
+  return out;
 }
 
 /// Marks the request on the Chrome trace timeline so a slow-log or
@@ -54,6 +55,14 @@ std::string MintRequestId() {
 /// trace is being recorded.
 void TraceRequestInstant(const std::string& request_id) {
   if (obs::trace::Enabled()) obs::trace::Instant("request/" + request_id);
+}
+
+/// Sets a response's status from an internal Status, and its message on
+/// errors: the one place the engine maps smgcn::Status onto the serving
+/// vocabulary.
+void SetStatus(const Status& status, Response* response) {
+  response->status = FromInternalStatus(status);
+  if (!status.ok()) response->message = status.message();
 }
 }  // namespace
 
@@ -152,27 +161,6 @@ Result<std::unique_ptr<ServingEngine>> ServingEngine::CreateFromSnapshot(
   if (options.slow_query_threshold_ms < 0.0) {
     return Status::InvalidArgument("slow_query_threshold_ms must be non-negative");
   }
-  if (options.batcher_nice < 0) {
-    return Status::InvalidArgument(
-        "batcher_nice must be non-negative (raising priority is privileged)");
-  }
-  if (options.num_threads == 0) {
-    // The unified parallel configuration story: pool sizing follows the
-    // process-wide smgcn::parallel worker count unless explicitly
-    // overridden through the deprecated per-engine knob.
-    options.num_threads = parallel::GetNumThreads();
-  } else {
-    LogWarningOnce("ServingEngineOptions.num_threads",
-                   "ServingEngineOptions::num_threads is deprecated; leave it "
-                   "0 and call parallel::SetNumThreads() once at startup");
-  }
-  if (options.kernel_threads > 0) {
-    LogWarningOnce("ServingEngineOptions.kernel_threads",
-                   "ServingEngineOptions::kernel_threads is deprecated; call "
-                   "parallel::SetNumThreads() once at startup instead");
-    // Deprecated per-engine override of the process-wide kernel workers.
-    parallel::SetNumThreads(options.kernel_threads);
-  }
   return std::unique_ptr<ServingEngine>(
       new ServingEngine(std::move(snapshot), options));
 }
@@ -206,8 +194,8 @@ ServingEngine::ServingEngine(std::shared_ptr<const ModelSnapshot> snapshot,
           obs::trace::TraceBuffer::Global().InternName("serve.execute_batch")),
       publish_trace_id_(
           obs::trace::TraceBuffer::Global().InternName("serve.publish")),
-      pool_(std::make_unique<ThreadPool>(options.num_threads, "serve.worker",
-                                         options.batcher_nice)) {
+      pool_(std::make_unique<ThreadPool>(parallel::GetNumThreads(),
+                                         "serve.worker")) {
   // Started in the body so the queue, mutex and condvar the loop touches are
   // fully constructed first.
   batcher_ = std::thread([this] { BatcherLoop(); });
@@ -246,11 +234,6 @@ std::string ServingEngine::active_version() const {
   return Snapshot()->version;
 }
 
-const EmbeddingStore& ServingEngine::store() const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  return snapshot_->store;
-}
-
 std::vector<std::vector<double>> ServingEngine::ScoreCanonical(
     const ModelSnapshot& snap,
     const std::vector<CanonicalQuery>& queries) const {
@@ -272,33 +255,6 @@ std::vector<std::vector<double>> ServingEngine::ScoreCanonical(
               out.data() + begin);
         }
       });
-  return out;
-}
-
-Result<std::vector<std::vector<double>>> ServingEngine::ScoreBatch(
-    const std::vector<std::vector<int>>& queries) const {
-  LogWarningOnce("ServingEngine.ScoreBatch",
-                 "ServingEngine::ScoreBatch is deprecated; build serve::Request "
-                 "with top_k == 0 and call HandleBatch");
-  const auto start = std::chrono::steady_clock::now();
-  // One snapshot per call: the whole batch scores on a single version even
-  // if a Publish lands mid-flight.
-  const std::shared_ptr<const ModelSnapshot> snap = Snapshot();
-  std::vector<CanonicalQuery> canonical;
-  canonical.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    auto query = Canonicalize(queries[i], snap->store.num_symptoms());
-    if (!query.ok()) {
-      return Status::InvalidArgument(StrFormat(
-          "query %zu: %s", i, query.status().message().c_str()));
-    }
-    canonical.push_back(*std::move(query));
-  }
-  if (canonical.empty()) return std::vector<std::vector<double>>{};
-
-  auto out = ScoreCanonical(*snap, canonical);
-  stats_.RecordBatch(canonical.size());
-  stats_.RecordQueries(canonical.size(), SecondsSince(start));
   return out;
 }
 
@@ -409,17 +365,12 @@ std::vector<Response> ServingEngine::HandleBatch(
     TraceRequestInstant(resp.request_id);
     const Status pins = CheckPins(requests[i], snap);
     if (!pins.ok()) {
-      resp.status = FromInternalStatus(pins);
-      resp.message = pins.message();
+      SetStatus(pins, &resp);
       continue;
     }
     auto query = Canonicalize(requests[i].symptoms, snap->store.num_symptoms());
     if (!query.ok()) {
-      // The raw canonicalize message, unprefixed: per-request errors are
-      // already index-aligned, and shims that need the legacy "query %zu:"
-      // prefix reconstruct it from their own loop index.
-      resp.status = StatusCode::kInvalidArgument;
-      resp.message = query.status().message();
+      SetStatus(query.status(), &resp);
       continue;
     }
     canonical[i] = *std::move(query);
@@ -516,70 +467,23 @@ std::vector<Response> ServingEngine::HandleBatch(
   return out;
 }
 
-Result<std::vector<std::vector<std::size_t>>> ServingEngine::RecommendBatch(
-    const std::vector<std::vector<int>>& queries, std::size_t k) const {
-  LogWarningOnce("ServingEngine.RecommendBatch",
-                 "ServingEngine::RecommendBatch is deprecated; build "
-                 "serve::Request with top_k >= 1 and call HandleBatch");
-  const auto start = std::chrono::steady_clock::now();
-  const std::shared_ptr<const ModelSnapshot> snap = Snapshot();
-  std::vector<CanonicalQuery> canonical;
-  canonical.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    auto query = Canonicalize(queries[i], snap->store.num_symptoms());
-    if (!query.ok()) {
-      return Status::InvalidArgument(StrFormat(
-          "query %zu: %s", i, query.status().message().c_str()));
-    }
-    canonical.push_back(*std::move(query));
-  }
-  std::vector<QueryStages> stages;
-  auto results = RecommendCanonical(*snap, canonical, k,
-                                    slow_log_.enabled() ? &stages : nullptr);
-  const double latency = SecondsSince(start);
-  stats_.RecordQueries(results.size(), latency);
-  if (slow_log_.enabled() && latency >= slow_log_.threshold_seconds()) {
-    // Synchronous queries share the batch's wall time; queue and coalesce
-    // are async-only stages and stay zero.
-    for (std::size_t i = 0; i < canonical.size(); ++i) {
-      SlowQueryRecord record;
-      record.symptom_ids = canonical[i].symptom_ids;
-      record.key = canonical[i].key;
-      record.k = k;
-      record.total_seconds = latency;
-      record.gemm_seconds = stages[i].gemm_seconds;
-      record.topk_seconds = stages[i].topk_seconds;
-      record.cache_hit = stages[i].cache_hit;
-      record.batch_size = stages[i].batch_size;
-      record.model = snap->store.model_name();
-      record.model_version = snap->version;
-      slow_log_.Record(std::move(record));
-    }
-  }
-  return results;
+void ServingEngine::Answer(PendingRequest* request, const Status& status,
+                           std::vector<std::size_t> herb_ids,
+                           std::optional<audit::QueryAttribution> attribution) {
+  Response response;
+  SetStatus(status, &response);
+  response.herb_ids = std::move(herb_ids);
+  response.attribution = std::move(attribution);
+  response.request_id = request->request_id;
+  response.model = request->snapshot->store.model_name();
+  response.version = request->snapshot->version;
+  request->promise.set_value(std::move(response));
 }
 
-Result<std::vector<double>> ServingEngine::Score(
-    const std::vector<int>& symptoms) const {
-  LogWarningOnce("ServingEngine.Score",
-                 "ServingEngine::Score is deprecated; build serve::Request "
-                 "with top_k == 0 and call Handle");
-  ASSIGN_OR_RETURN(auto batch, ScoreBatch({symptoms}));
-  return std::move(batch.front());
-}
-
-Result<std::vector<std::size_t>> ServingEngine::Recommend(
-    const std::vector<int>& symptoms, std::size_t k) const {
-  LogWarningOnce("ServingEngine.Recommend",
-                 "ServingEngine::Recommend is deprecated; build serve::Request "
-                 "with top_k >= 1 and call Handle");
-  ASSIGN_OR_RETURN(auto batch, RecommendBatch({symptoms}, k));
-  return std::move(batch.front());
-}
-
-void ServingEngine::SubmitInternal(Request incoming, DeliverFn deliver) {
+std::future<Response> ServingEngine::SubmitRequest(Request incoming) {
   submitted_->Increment();
   PendingRequest request;
+  std::future<Response> future = request.promise.get_future();
   request.enqueue_time = std::chrono::steady_clock::now();
   // Bind the request to the version active at admission; the batch executor
   // scores it on this snapshot even if a Publish lands first. Pins are
@@ -592,12 +496,17 @@ void ServingEngine::SubmitInternal(Request incoming, DeliverFn deliver) {
                            : std::move(incoming.request_id);
   request.attribution = incoming.attribution;
   TraceRequestInstant(request.request_id);
+  if (incoming.top_k == 0) {
+    Answer(&request,
+           Status::InvalidArgument("dense-score mode (top_k == 0) is "
+                                   "synchronous-only; use Handle"));
+    return future;
+  }
   if (!incoming.model.empty() || !incoming.version.empty()) {
     const Status pin_status = CheckPins(incoming, request.snapshot);
     if (!pin_status.ok()) {
-      deliver(pin_status, {}, std::nullopt, request.request_id,
-              request.snapshot);
-      return;
+      Answer(&request, pin_status);
+      return future;
     }
   }
   // Clamp over-catalog ks at admission so they micro-batch into one
@@ -606,9 +515,8 @@ void ServingEngine::SubmitInternal(Request incoming, DeliverFn deliver) {
   auto query = Canonicalize(incoming.symptoms,
                             request.snapshot->store.num_symptoms());
   if (!query.ok()) {
-    deliver(query.status(), {}, std::nullopt, request.request_id,
-            request.snapshot);
-    return;
+    Answer(&request, query.status());
+    return future;
   }
   request.query = *std::move(query);
   if (incoming.deadline_ms > 0.0) {
@@ -623,7 +531,6 @@ void ServingEngine::SubmitInternal(Request incoming, DeliverFn deliver) {
     request.deadline = std::chrono::steady_clock::time_point::max();
     request.flush_by = request.deadline;
   }
-  request.deliver = std::move(deliver);
 
   bool shut_down = false;
   bool shed = false;
@@ -638,95 +545,28 @@ void ServingEngine::SubmitInternal(Request incoming, DeliverFn deliver) {
       queue_.push_back(std::move(request));
     }
   }
-  // Deliver rejections outside queue_mu_: the callback resolves a caller's
-  // future and must never run under the engine's queue lock.
+  // Answer rejections outside queue_mu_: resolving the caller's future
+  // must never run under the engine's queue lock.
   if (shut_down) {
-    request.deliver(Status::FailedPrecondition(
-                        "ServingEngine is shut down; no new queries accepted"),
-                    {}, std::nullopt, request.request_id, request.snapshot);
-    return;
+    Answer(&request,
+           Status::FailedPrecondition(
+               "ServingEngine is shut down; no new queries accepted"));
+    return future;
   }
   if (shed) {
     shed_->Increment();
-    request.deliver(
-        Status::ResourceExhausted(StrFormat(
-            "admission queue full (max_queue_depth=%zu); load-shedding",
-            options_.max_queue_depth)),
-        {}, std::nullopt, request.request_id, request.snapshot);
-    return;
-  }
-  queue_cv_.notify_one();
-}
-
-std::future<Response> ServingEngine::SubmitRequest(Request request) {
-  auto promise = std::make_shared<std::promise<Response>>();
-  auto future = promise->get_future();
-  if (request.top_k == 0) {
-    Response resp;
-    resp.status = StatusCode::kInvalidArgument;
-    resp.message =
-        "dense-score mode (top_k == 0) is synchronous-only; use Handle";
-    resp.request_id = request.request_id;
-    promise->set_value(std::move(resp));
+    Answer(&request,
+           Status::ResourceExhausted(StrFormat(
+               "admission queue full (max_queue_depth=%zu); load-shedding",
+               options_.max_queue_depth)));
     return future;
   }
-  SubmitInternal(
-      std::move(request),
-      [promise](const Status& status, std::vector<std::size_t> ids,
-                std::optional<audit::QueryAttribution> attribution,
-                const std::string& request_id,
-                const std::shared_ptr<const ModelSnapshot>& snap) {
-        Response resp;
-        resp.status = FromInternalStatus(status);
-        if (!status.ok()) resp.message = status.message();
-        resp.herb_ids = std::move(ids);
-        resp.attribution = std::move(attribution);
-        resp.request_id = request_id;
-        if (snap != nullptr) {
-          resp.model = snap->store.model_name();
-          resp.version = snap->version;
-        }
-        promise->set_value(std::move(resp));
-      });
-  return future;
-}
-
-std::future<Result<std::vector<std::size_t>>> ServingEngine::Submit(
-    std::vector<int> symptoms, std::size_t k) {
-  LogWarningOnce("ServingEngine.Submit",
-                 "ServingEngine::Submit is deprecated; use "
-                 "SubmitRequest(serve::Request)");
-  auto promise =
-      std::make_shared<std::promise<Result<std::vector<std::size_t>>>>();
-  auto future = promise->get_future();
-  Request request;
-  request.symptoms = std::move(symptoms);
-  request.top_k = k;
-  SubmitInternal(
-      std::move(request),
-      [promise](const Status& status, std::vector<std::size_t> ids,
-                std::optional<audit::QueryAttribution>, const std::string&,
-                const std::shared_ptr<const ModelSnapshot>&) {
-        // The internal Status flows through verbatim, so error codes and
-        // messages match the pre-Request contract bit for bit.
-        if (status.ok()) {
-          promise->set_value(std::move(ids));
-        } else {
-          promise->set_value(status);
-        }
-      });
+  queue_cv_.notify_one();
   return future;
 }
 
 void ServingEngine::BatcherLoop() {
   obs::trace::SetCurrentThreadName(obs_prefix_ + "batcher");
-  if (options_.batcher_nice > 0) {
-    // glibc nice() maps to setpriority(PRIO_PROCESS, 0, ...), which on
-    // Linux/NPTL adjusts only the calling thread — exactly what we want:
-    // scoring defers to the I/O and admission threads under saturation.
-    errno = 0;
-    (void)::nice(options_.batcher_nice);
-  }
   const auto max_wait = std::chrono::duration_cast<
       std::chrono::steady_clock::duration>(
       std::chrono::duration<double, std::milli>(options_.max_wait_ms));
@@ -808,13 +648,12 @@ void ServingEngine::ExecuteBatch(std::vector<PendingRequest> batch,
       if (request.deadline != std::chrono::steady_clock::time_point::max() &&
           execute_start >= request.deadline) {
         deadline_exceeded_->Increment();
-        request.deliver(
-            Status::DeadlineExceeded(StrFormat(
-                "deadline expired before scoring (queued %.3f ms)",
-                std::chrono::duration<double, std::milli>(
-                    execute_start - request.enqueue_time)
-                    .count())),
-            {}, std::nullopt, request.request_id, request.snapshot);
+        Answer(&request,
+               Status::DeadlineExceeded(StrFormat(
+                   "deadline expired before scoring (queued %.3f ms)",
+                   std::chrono::duration<double, std::milli>(
+                       execute_start - request.enqueue_time)
+                       .count())));
         continue;
       }
       if (live != i) batch[live] = std::move(batch[i]);
@@ -893,15 +732,12 @@ void ServingEngine::ExecuteBatch(std::vector<PendingRequest> batch,
       if (request.deadline != std::chrono::steady_clock::time_point::max() &&
           std::chrono::steady_clock::now() >= request.deadline) {
         deadline_exceeded_->Increment();
-        request.deliver(
-            Status::DeadlineExceeded(StrFormat(
-                "deadline exceeded (answered after %.3f ms)",
-                total_seconds * 1e3)),
-            {}, std::nullopt, request.request_id, request.snapshot);
+        Answer(&request, Status::DeadlineExceeded(StrFormat(
+                             "deadline exceeded (answered after %.3f ms)",
+                             total_seconds * 1e3)));
       } else {
-        request.deliver(Status::OK(), std::move(results[i - begin]),
-                        std::move(attribution), request.request_id,
-                        request.snapshot);
+        Answer(&request, Status::OK(), std::move(results[i - begin]),
+               std::move(attribution));
       }
     }
     begin = end;
@@ -919,54 +755,6 @@ void ServingEngine::Shutdown() {
   if (batcher_.joinable()) batcher_.join();
   // The batcher drained the queue into the pool; wait for those batches.
   if (pool_) pool_->Wait();
-}
-
-ServingStatsSnapshot ServingEngine::Stats() const {
-  return stats_.Snapshot(cache_enabled_ ? cache_.Stats() : CacheStats{});
-}
-
-EngineRecommender::EngineRecommender(const ServingEngine* engine)
-    : engine_(engine) {
-  SMGCN_CHECK(engine != nullptr);
-}
-
-std::string EngineRecommender::name() const {
-  return engine_->store().model_name();
-}
-
-Status EngineRecommender::Fit(const data::Corpus&) {
-  return Status::FailedPrecondition(
-      "EngineRecommender serves a trained checkpoint; it cannot be fitted");
-}
-
-Result<std::vector<double>> EngineRecommender::Score(
-    const std::vector<int>& symptom_set) const {
-  ASSIGN_OR_RETURN(auto batch, ScoreBatch({symptom_set}));
-  return std::move(batch.front());
-}
-
-Result<std::vector<std::vector<double>>> EngineRecommender::ScoreBatch(
-    const std::vector<std::vector<int>>& symptom_sets) const {
-  // Rides the unified Request surface in dense-score mode; the legacy
-  // Result contract (first invalid query wins, "query %zu:" prefix) is
-  // reconstructed here so evaluator-facing behaviour is unchanged.
-  std::vector<Request> requests(symptom_sets.size());
-  for (std::size_t i = 0; i < symptom_sets.size(); ++i) {
-    requests[i].symptoms = symptom_sets[i];
-    requests[i].top_k = 0;
-  }
-  std::vector<Response> responses = engine_->HandleBatch(requests);
-  std::vector<std::vector<double>> out;
-  out.reserve(responses.size());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    if (!responses[i].ok()) {
-      return ToInternalStatus(
-          responses[i].status,
-          StrFormat("query %zu: %s", i, responses[i].message.c_str()));
-    }
-    out.push_back(std::move(responses[i].scores));
-  }
-  return out;
 }
 
 }  // namespace serve

@@ -27,11 +27,6 @@
 // met; requests whose budget expired before scoring began are answered
 // kDeadlineExceeded without being scored.
 //
-// The pre-Request entry points — Score / ScoreBatch / Recommend /
-// RecommendBatch / Submit — remain as deprecated-but-honoured shims over
-// the same internals (one LogWarningOnce per entry point): bit-identical
-// results, unchanged Status contracts.
-//
 // Batched, async and per-query results are bit-identical for a given
 // canonical query: the kernels process batch rows independently in a fixed
 // order (see EmbeddingStore).
@@ -45,8 +40,11 @@
 // flushing anything (superseded entries age out through LRU).
 //
 // Shutdown() drains: queued queries are still answered, then the batcher
-// stops and later Submits fail fast with FailedPrecondition. The destructor
-// shuts down implicitly.
+// stops and later SubmitRequests are answered kUnavailable at once. The
+// destructor shuts down implicitly.
+//
+// Threads: the scoring pool sizes itself from parallel::GetNumThreads() at
+// Create, so parallel::SetNumThreads is the one thread knob.
 #ifndef SMGCN_SERVE_ENGINE_H_
 #define SMGCN_SERVE_ENGINE_H_
 
@@ -63,7 +61,6 @@
 #include <vector>
 
 #include "src/core/checkpoint.h"
-#include "src/core/recommender.h"
 #include "src/serve/cache.h"
 #include "src/serve/embedding_store.h"
 #include "src/serve/query.h"
@@ -125,46 +122,24 @@ struct ServingEngineOptions {
   /// batch takes the second in-flight slot anyway. An idle engine never
   /// waits: with no batch in flight the batcher dispatches at once.
   double max_wait_ms = 0.2;
-  /// DEPRECATED thread knob (kept for compatibility): worker threads
-  /// executing micro-batches. 0 — the recommended setting — sizes the pool
-  /// from the process-wide smgcn::parallel configuration
-  /// (parallel::GetNumThreads(), i.e. hardware concurrency unless
-  /// overridden once at startup). See docs/API_TOUR.md §Parallelism.
-  std::size_t num_threads = 0;
-  /// DEPRECATED thread knob (kept for compatibility): when > 0, Create
-  /// forwards this to parallel::SetNumThreads, mutating the process-wide
-  /// kernel worker count (deterministic: scores are bit-identical at every
-  /// setting). 0 — the recommended setting — leaves the global
-  /// configuration alone. Prefer calling parallel::SetNumThreads once at
-  /// startup instead. See docs/API_TOUR.md §Parallelism.
-  std::size_t kernel_threads = 0;
   /// Total top-k cache entries; 0 disables caching entirely.
   std::size_t cache_capacity = 4096;
   std::size_t cache_shards = 8;
-  /// Latency threshold for the slow-query log in milliseconds: Recommend
-  /// queries at or above it are recorded with a per-stage breakdown (queue
+  /// Latency threshold for the slow-query log in milliseconds: ranked
+  /// requests at or above it are recorded with a per-stage breakdown (queue
   /// → coalesce → GEMM → top-k); see slow_query_log(). 0 (the default)
   /// disables the log.
   double slow_query_threshold_ms = 0.0;
   /// Retained slow-query entries (bounded ring, oldest evicted); the
   /// eviction-independent count lives in `<obs_prefix>slow_queries`.
   std::size_t slow_query_log_capacity = 128;
-  /// Admission bound for the async queue (SubmitRequest / Submit): when
-  /// > 0, a request arriving while this many are already queued is
-  /// load-shed immediately with kShedding (`<prefix>shed` counts them)
-  /// instead of queueing unboundedly. 0 — the in-process default —
-  /// disables shedding; network front-ends should set it (net::Server
-  /// defaults it to 256).
+  /// Admission bound for the async queue (SubmitRequest): when > 0, a
+  /// request arriving while this many are already queued is load-shed
+  /// immediately with kShedding (`<prefix>shed` counts them) instead of
+  /// queueing unboundedly. 0 — the in-process default — disables
+  /// shedding; network front-ends should set it (net::Server defaults it
+  /// to 256).
   std::size_t max_queue_depth = 0;
-  /// When > 0, the batcher thread and its scoring workers lower their own
-  /// CPU priority by this many nice levels (Linux: per-thread). With
-  /// scoring saturating the host,
-  /// this keeps I/O and admission threads responsive, so overload shows up
-  /// at the bounded admission queue (kShedding, visible and immediate)
-  /// rather than as requests aging in kernel socket buffers that admission
-  /// control cannot see. 0 leaves scheduling alone. Raising priority is a
-  /// privileged operation, so negative values are invalid.
-  int batcher_nice = 0;
   /// Semantic version assigned to the checkpoint passed to Create() (the
   /// snapshot-based factory carries its own version).
   std::string initial_version = "v1";
@@ -230,86 +205,33 @@ class ServingEngine {
   /// error Response. Responses align with `requests` by index.
   std::vector<Response> HandleBatch(const std::vector<Request>& requests) const;
 
-  /// Enqueues a ranked request (top_k >= 1; dense mode is sync-only) for
-  /// micro-batched execution. The future always resolves with a Response —
-  /// kShedding when the admission queue is full (max_queue_depth > 0),
-  /// kUnavailable once the engine is shut down, kDeadlineExceeded when the
-  /// budget expired before scoring. The request is bound to the snapshot
-  /// active at submit time and answered from it even if a Publish lands
-  /// before the batch executes.
+  /// Enqueues a ranked request (top_k >= 1) for micro-batched execution.
+  /// The future always resolves with a Response carrying the request id and
+  /// the model/version it was bound to: kInvalidArgument for a malformed
+  /// request or dense mode (top_k == 0 is sync-only), kUnavailable for a
+  /// pin mismatch or once the engine is shut down, kShedding when the
+  /// admission queue is full (max_queue_depth > 0), kDeadlineExceeded when
+  /// the budget expired before scoring. The request is bound to the
+  /// snapshot active at submit time and answered from it even if a Publish
+  /// lands before the batch executes.
   std::future<Response> SubmitRequest(Request request);
 
-  /// DEPRECATED: use HandleBatch with top_k == 0. Scores every herb for
-  /// every query in one fused GEMM. Fails with InvalidArgument when any
-  /// query is empty or holds out-of-range ids (the message names the
-  /// offending query index). Duplicate ids within a query are deduplicated
-  /// (set semantics).
-  Result<std::vector<std::vector<double>>> ScoreBatch(
-      const std::vector<std::vector<int>>& queries) const;
-
-  /// DEPRECATED: use HandleBatch. Top-k herb ids per query; consults the
-  /// cache before scoring. A k larger than the herb catalog is clamped to
-  /// it (every herb, ranked), and all over-catalog ks share one cache
-  /// entry.
-  Result<std::vector<std::vector<std::size_t>>> RecommendBatch(
-      const std::vector<std::vector<int>>& queries, std::size_t k) const;
-
-  /// DEPRECATED: use Handle. Single-query conveniences over the batch path.
-  Result<std::vector<double>> Score(const std::vector<int>& symptoms) const;
-  Result<std::vector<std::size_t>> Recommend(const std::vector<int>& symptoms,
-                                             std::size_t k) const;
-
-  /// DEPRECATED: use SubmitRequest. Enqueues a query for micro-batched
-  /// execution. The future resolves with the top-k herb ids, an
-  /// InvalidArgument for malformed queries, or FailedPrecondition when the
-  /// engine is already shut down. Rides the same bounded queue as
-  /// SubmitRequest: with max_queue_depth > 0 a full queue resolves the
-  /// future with ResourceExhausted (at the default 0 — every pre-existing
-  /// call site — behaviour is unchanged).
-  std::future<Result<std::vector<std::size_t>>> Submit(
-      std::vector<int> symptoms, std::size_t k);
-
-  /// Stops accepting Submits, answers everything already queued, and joins
-  /// the batcher. Idempotent; called by the destructor.
+  /// Stops accepting SubmitRequests, answers everything already queued,
+  /// and joins the batcher. Idempotent; called by the destructor.
   void Shutdown();
-
-  /// Serving counters merged with cache counters. A thin compatibility
-  /// view assembled from the engine's smgcn::obs registry instruments (see
-  /// obs_prefix()); values match the pre-registry recorder bit for bit for
-  /// a given workload.
-  ServingStatsSnapshot Stats() const;
 
   /// Scope this engine's instruments occupy in obs::Registry::Global(),
   /// e.g. "serve.engine0." (the cache's live under "<prefix>cache.",
-  /// publishes under "<prefix>publishes").
+  /// publishes under "<prefix>publishes"; the serving counters are listed
+  /// in src/serve/stats.h).
   const std::string& obs_prefix() const { return obs_prefix_; }
 
   /// The slow-query log (disabled unless slow_query_threshold_ms > 0).
   const SlowQueryLog& slow_query_log() const { return slow_log_; }
 
-  /// Convenience view of the active snapshot's store. The reference stays
-  /// valid until the NEXT Publish (the engine pins the snapshot it serves
-  /// from); callers that outlive a swap must hold Snapshot() instead.
-  const EmbeddingStore& store() const;
   const ServingEngineOptions& options() const { return options_; }
 
  private:
-  /// Fulfils an async caller's future. Both async surfaces funnel through
-  /// this: SubmitRequest wraps a promise<Response> (mapping the internal
-  /// Status onto serve::StatusCode), the legacy Submit shim wraps
-  /// promise<Result<ids>> and forwards the internal Status verbatim —
-  /// which is why the callback carries smgcn::Status, not the wire enum:
-  /// the shim stays bit-identical to the pre-Request contract. Called
-  /// exactly once, never under queue_mu_. `request_id` is the request's
-  /// correlation id (client-supplied or engine-minted); `attribution` is
-  /// the opt-in score decomposition, present only on successful ranked
-  /// answers that asked for it. `snap` is the snapshot the request was
-  /// bound to (for Response attribution).
-  using DeliverFn = std::function<void(
-      const Status&, std::vector<std::size_t>,
-      std::optional<audit::QueryAttribution>, const std::string& request_id,
-      const std::shared_ptr<const ModelSnapshot>&)>;
-
   struct PendingRequest {
     CanonicalQuery query;
     std::size_t k = 0;
@@ -320,7 +242,7 @@ class ServingEngine {
     /// The version this request was admitted under; ExecuteBatch scores it
     /// there, so async responses are attributable to exactly one publish.
     std::shared_ptr<const ModelSnapshot> snapshot;
-    DeliverFn deliver;
+    std::promise<Response> promise;
     std::chrono::steady_clock::time_point enqueue_time;
     /// Absolute deadline (computed from Request::deadline_ms at
     /// admission); time_point::max() when the request has none.
@@ -330,6 +252,14 @@ class ServingEngine {
     /// for the GEMM itself. == deadline when there is no deadline.
     std::chrono::steady_clock::time_point flush_by;
   };
+
+  /// Answers an async request: fulfils its promise with `status` (mapped
+  /// onto serve::StatusCode), `herb_ids`, `attribution`, its correlation id
+  /// and the model/version it was bound to. Called exactly once per
+  /// request, never under queue_mu_.
+  static void Answer(PendingRequest* request, const Status& status,
+                     std::vector<std::size_t> herb_ids = {},
+                     std::optional<audit::QueryAttribution> attribution = {});
 
   ServingEngine(std::shared_ptr<const ModelSnapshot> snapshot,
                 ServingEngineOptions options);
@@ -374,15 +304,8 @@ class ServingEngine {
   Status CheckPins(const Request& request,
                    const std::shared_ptr<const ModelSnapshot>& snap) const;
 
-  /// The one async admission path (SubmitRequest and the Submit shim).
-  /// Canonicalizes, applies the queue bound (shed → ResourceExhausted),
-  /// stamps request id / deadline / flush_by, and enqueues. `deliver` is
-  /// called exactly once, possibly before this returns (validation errors,
-  /// shedding, shutdown).
-  void SubmitInternal(Request request, DeliverFn deliver);
-
   void BatcherLoop();
-  /// Scores one coalesced batch and fulfils its promises. Requests are
+  /// Scores one coalesced batch and answers its requests. Requests are
   /// grouped by (snapshot, k); each group shares one GEMM + cache pass.
   /// `coalesce_seconds` is how long the batch's oldest request waited for
   /// the batch to be cut (attributed to every query in the batch).
@@ -432,27 +355,6 @@ class ServingEngine {
 
   /// Test-only: holds in-flight batch slots to make dispatch deterministic.
   friend class ServingEngineTestPeer;
-};
-
-/// Adapts a ServingEngine to the HerbRecommender interface so evaluators and
-/// examples can ride the batched GEMM path transparently: ScoreBatch is
-/// overridden to fuse the whole batch into one engine call instead of the
-/// base class's per-query loop. Fit is a FailedPrecondition, as for
-/// CheckpointRecommender. Does not own the engine.
-class EngineRecommender : public core::HerbRecommender {
- public:
-  /// `engine` must outlive this recommender.
-  explicit EngineRecommender(const ServingEngine* engine);
-
-  std::string name() const override;
-  Status Fit(const data::Corpus& train) override;
-  Result<std::vector<double>> Score(
-      const std::vector<int>& symptom_set) const override;
-  Result<std::vector<std::vector<double>>> ScoreBatch(
-      const std::vector<std::vector<int>>& symptom_sets) const override;
-
- private:
-  const ServingEngine* engine_;
 };
 
 }  // namespace serve

@@ -138,14 +138,6 @@ class ModelManager {
   /// ServingEngine::SubmitRequest for shedding/deadline semantics).
   std::future<Response> SubmitRequest(Request request) const;
 
-  /// DEPRECATED conveniences routing to the model's engine; use Handle
-  /// with a serve::Request instead.
-  Result<std::vector<double>> Score(const std::string& model,
-                                    const std::vector<int>& symptoms) const;
-  Result<std::vector<std::size_t>> Recommend(const std::string& model,
-                                             const std::vector<int>& symptoms,
-                                             std::size_t k) const;
-
   /// Drains and shuts down every hosted engine. Idempotent; implicit in
   /// the destructor.
   void Shutdown();

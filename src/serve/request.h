@@ -3,17 +3,14 @@
 // One pair of structs describes a serving call everywhere: the in-process
 // API (ServingEngine::Handle / HandleBatch / SubmitRequest, ModelManager
 // routing) and the wire protocol (src/net) share them verbatim, so a field
-// added here is one field, not four parallel signatures. The legacy entry
-// points (Score/ScoreBatch/Recommend/RecommendBatch/Submit) survive as
-// deprecated-but-honoured shims over this surface — same pattern as the
-// thread-knob collapse onto parallel::SetNumThreads.
+// added here is one field, not four parallel signatures.
 //
 // Modes:
 //   * top_k >= 1  — ranked mode: Response.herb_ids holds the top-k herb
 //     ids (k clamped to the herb catalog). The top-k cache applies.
 //   * top_k == 0  — dense mode: Response.scores holds one score per herb
-//     in catalog order (what EngineRecommender and evaluators consume).
-//     Synchronous paths only; the micro-batcher is ranked-only.
+//     in catalog order. Synchronous paths only; SubmitRequest answers a
+//     dense request kInvalidArgument.
 #ifndef SMGCN_SERVE_REQUEST_H_
 #define SMGCN_SERVE_REQUEST_H_
 

@@ -61,22 +61,6 @@ StatusCode FromInternalStatus(const Status& status) {
   return FromInternalCode(status.code());
 }
 
-Status ToInternalStatus(StatusCode code, std::string message) {
-  switch (code) {
-    case StatusCode::kOk:
-      return Status::OK();
-    case StatusCode::kInvalidArgument:
-      return Status::InvalidArgument(std::move(message));
-    case StatusCode::kDeadlineExceeded:
-      return Status::DeadlineExceeded(std::move(message));
-    case StatusCode::kShedding:
-      return Status::ResourceExhausted(std::move(message));
-    case StatusCode::kUnavailable:
-      return Status::Unavailable(std::move(message));
-  }
-  return Status::Unavailable(std::move(message));
-}
-
 int HttpStatusFor(StatusCode code) {
   switch (code) {
     case StatusCode::kOk:

@@ -58,11 +58,6 @@ StatusCode FromInternalCode(smgcn::StatusCode code);
 /// Convenience: FromInternalCode(status.code()).
 StatusCode FromInternalStatus(const Status& status);
 
-/// Maps a serving status back to a representative internal Status carrying
-/// `message` (kOk ignores the message). FromInternalCode(ToInternalStatus(
-/// s, m).code()) == s for every s — the round-trip the wire relies on.
-Status ToInternalStatus(StatusCode code, std::string message);
-
 /// The HTTP response status a serving status renders as:
 /// 200 / 400 / 504 / 429 / 503.
 int HttpStatusFor(StatusCode code);

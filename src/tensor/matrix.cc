@@ -32,16 +32,6 @@ constexpr std::size_t kTransposeBlock = 32;
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix Matrix::Uninitialized(std::size_t rows, std::size_t cols) {
-  Matrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  // resize() default-initializes through DefaultInitAllocator: the doubles
-  // are left uninitialized, skipping the fill constructor's zero sweep.
-  m.data_.resize(rows * cols);
-  return m;
-}
-
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> values) {
   rows_ = values.size();
   cols_ = rows_ > 0 ? values.begin()->size() : 0;

@@ -9,9 +9,7 @@
 #include <cstddef>
 #include <functional>
 #include <initializer_list>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace smgcn {
@@ -19,34 +17,6 @@ namespace smgcn {
 class Rng;
 
 namespace tensor {
-
-namespace detail {
-/// Allocator whose value-less construct() default-initializes — i.e. leaves
-/// scalars uninitialized — so vector growth skips the zero-fill pass.
-/// Matrix::Uninitialized uses it for hot paths that overwrite every element
-/// right after allocation (one full memory pass saved per serving batch).
-/// Explicit-value construction (fill constructors, push_back) is unchanged.
-template <typename T, typename A = std::allocator<T>>
-class DefaultInitAllocator : public A {
- public:
-  template <typename U>
-  struct rebind {
-    using other = DefaultInitAllocator<
-        U, typename std::allocator_traits<A>::template rebind_alloc<U>>;
-  };
-  using A::A;
-  template <typename U>
-  void construct(U* ptr) noexcept(
-      std::is_nothrow_default_constructible<U>::value) {
-    ::new (static_cast<void*>(ptr)) U;
-  }
-  template <typename U, typename... Args>
-  void construct(U* ptr, Args&&... args) {
-    std::allocator_traits<A>::construct(static_cast<A&>(*this), ptr,
-                                        std::forward<Args>(args)...);
-  }
-};
-}  // namespace detail
 
 /// Dense row-major matrix. Copy is deep; move is O(1).
 ///
@@ -70,11 +40,6 @@ class Matrix {
   static Matrix Full(std::size_t rows, std::size_t cols, double value) {
     return Matrix(rows, cols, value);
   }
-  /// rows x cols matrix with UNINITIALIZED entries — for hot paths that
-  /// overwrite every element immediately (e.g. the serving score widen),
-  /// where the fill constructor's zero pass is a wasted sweep over the
-  /// whole allocation. Reading an entry before writing it is undefined.
-  static Matrix Uninitialized(std::size_t rows, std::size_t cols);
   /// Identity matrix of size n.
   static Matrix Identity(std::size_t n);
   /// Entries drawn uniformly from [lo, hi).
@@ -171,7 +136,7 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<double, detail::DefaultInitAllocator<double>> data_;
+  std::vector<double> data_;
 };
 
 }  // namespace tensor

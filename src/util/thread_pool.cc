@@ -1,8 +1,5 @@
 #include "src/util/thread_pool.h"
 
-#include <errno.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <string>
 
@@ -10,21 +7,15 @@
 
 namespace smgcn {
 
-ThreadPool::ThreadPool(std::size_t num_threads, std::string thread_name_prefix,
-                       int nice_increment) {
+ThreadPool::ThreadPool(std::size_t num_threads,
+                       std::string thread_name_prefix) {
   if (num_threads == 0) num_threads = 1;
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i, thread_name_prefix, nice_increment] {
+    workers_.emplace_back([this, i, thread_name_prefix] {
       if (!thread_name_prefix.empty()) {
         obs::trace::SetCurrentThreadName(thread_name_prefix +
                                          std::to_string(i));
-      }
-      if (nice_increment > 0) {
-        // glibc nice() maps to setpriority(PRIO_PROCESS, 0, ...), which on
-        // Linux/NPTL adjusts only the calling thread.
-        errno = 0;
-        (void)::nice(nice_increment);
       }
       WorkerLoop();
     });

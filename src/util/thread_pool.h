@@ -21,12 +21,8 @@ class ThreadPool {
   /// Spawns `num_threads` workers (at least one). A non-empty
   /// `thread_name_prefix` registers each worker with the trace buffer as
   /// "<prefix><index>" so pool threads are labelled in exported timelines.
-  /// `nice_increment` > 0 lowers each worker's CPU priority by that many
-  /// nice levels (Linux: per-thread), letting latency-critical threads
-  /// preempt pool work when the host is saturated.
   explicit ThreadPool(std::size_t num_threads,
-                      std::string thread_name_prefix = {},
-                      int nice_increment = 0);
+                      std::string thread_name_prefix = {});
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

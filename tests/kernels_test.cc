@@ -22,6 +22,7 @@
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/random.h"
+#include "tests/serve_test_util.h"
 
 namespace smgcn {
 namespace tensor {
@@ -493,9 +494,9 @@ void RunParitySweep(bool force_scalar) {
             *serve::Canonicalize(raw, num_symptoms);
         const std::size_t k = std::min(kTopK, f64_store->num_herbs());
         const std::vector<std::size_t> ref =
-            eval::TopK(f64_store->ScoreOne(q), k);
+            eval::TopK(serve::ScoreRow(*f64_store, q), k);
         const std::vector<std::size_t> got =
-            eval::TopK(f32_store->ScoreOne(q), k);
+            eval::TopK(serve::ScoreRow(*f32_store, q), k);
         ASSERT_EQ(got.size(), ref.size());
         const std::set<std::size_t> got_set(got.begin(), got.end());
         for (std::size_t id : ref) agree += got_set.count(id);
@@ -607,10 +608,10 @@ void RunInt8ParitySweep(bool force_scalar) {
         const serve::CanonicalQuery q =
             *serve::Canonicalize(raw, num_symptoms);
         const std::size_t k = std::min(kTopK, f64_store->num_herbs());
-        const std::vector<double> ref_scores = f64_store->ScoreOne(q);
+        const std::vector<double> ref_scores = serve::ScoreRow(*f64_store, q);
         const std::vector<std::size_t> ref = eval::TopK(ref_scores, k);
         const std::vector<std::size_t> got =
-            eval::TopK(s8_store->ScoreOne(q), k);
+            eval::TopK(serve::ScoreRow(*s8_store, q), k);
         ASSERT_EQ(got.size(), ref.size());
         const std::set<std::size_t> got_set(got.begin(), got.end());
         for (std::size_t id : ref) agree += got_set.count(id);
@@ -643,9 +644,9 @@ TEST(Int8ParityTest, ForcedScalarKernels) { RunInt8ParitySweep(true); }
 
 TEST(Int8ParityTest, BatchedScoresBitIdenticalToSingleQueryPerBackend) {
   // The end-to-end face of the kernel-level GEMM==GEMV property: within one
-  // backend, int8 ScoreBatch rows must reproduce ScoreOne bit for bit. (The
-  // two backends may differ from each other: the f32 SI-MLP stage that
-  // produces the activations is reduction-order sensitive, so only the
+  // backend, batched int8 rows must reproduce batch-of-one rows bit for
+  // bit. (The two backends may differ from each other: the f32 SI-MLP stage
+  // that produces the activations is reduction-order sensitive, so only the
   // int8 stage itself is cross-backend exact — covered at kernel level by
   // GemmRowsBitIdenticalToGemvAndAcrossBackends.)
   core::InferenceCheckpoint ckpt = Int8ParityCheckpoint(48, 257, 33, 907);
@@ -659,13 +660,13 @@ TEST(Int8ParityTest, BatchedScoresBitIdenticalToSingleQueryPerBackend) {
   for (const bool force_scalar : {false, true}) {
     if (!force_scalar && !SimdAvailable()) continue;
     ScopedForceScalar force(force_scalar);
-    const tensor::Matrix batched = store->ScoreBatch(batch);
-    ASSERT_EQ(batched.rows(), batch.size());
+    const auto batched = serve::ScoreRows(*store, batch);
+    ASSERT_EQ(batched.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      const std::vector<double> one = store->ScoreOne(batch[i]);
-      ASSERT_EQ(one.size(), batched.cols());
-      for (std::size_t j = 0; j < batched.cols(); ++j) {
-        ASSERT_EQ(batched(i, j), one[j])
+      const std::vector<double> one = serve::ScoreRow(*store, batch[i]);
+      ASSERT_EQ(one.size(), batched[i].size());
+      for (std::size_t j = 0; j < one.size(); ++j) {
+        ASSERT_EQ(batched[i][j], one[j])
             << "batch-vs-single divergence at (" << i << "," << j
             << ") scalar=" << force_scalar;
       }
@@ -691,15 +692,20 @@ TEST(PrecisionParityTest, EngineEndToEndTopKAgreement) {
 
     Rng rng(31);
     const auto queries = ParityQueries(64, 48, &rng);
-    auto ref = (*f64_engine)->RecommendBatch(queries, kTopK);
-    auto got = (*f32_engine)->RecommendBatch(queries, kTopK);
-    ASSERT_TRUE(ref.ok());
-    ASSERT_TRUE(got.ok());
+    std::vector<serve::Request> requests;
+    for (const auto& query : queries) {
+      requests.push_back(serve::MakeRequest(query, kTopK));
+    }
+    const auto ref = (*f64_engine)->HandleBatch(requests);
+    const auto got = (*f32_engine)->HandleBatch(requests);
     std::size_t agree = 0, total = 0;
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      const std::set<std::size_t> got_set((*got)[i].begin(), (*got)[i].end());
-      for (std::size_t id : (*ref)[i]) agree += got_set.count(id);
-      total += (*ref)[i].size();
+      ASSERT_TRUE(ref[i].ok()) << ref[i].message;
+      ASSERT_TRUE(got[i].ok()) << got[i].message;
+      const std::set<std::size_t> got_set(got[i].herb_ids.begin(),
+                                          got[i].herb_ids.end());
+      for (std::size_t id : ref[i].herb_ids) agree += got_set.count(id);
+      total += ref[i].herb_ids.size();
     }
     EXPECT_GE(static_cast<double>(agree) / static_cast<double>(total), 0.999)
         << "threads=" << threads;

@@ -46,6 +46,17 @@ double ExpectedScore(double value) {
   return static_cast<double>(kDim) * value * value;
 }
 
+// Routes one request for `model` through Handle, as the network front-end
+// does; top_k == 0 asks for every herb's score.
+Response Query(const ModelManager& manager, const std::string& model,
+               std::vector<int> symptoms, std::size_t top_k) {
+  Request request;
+  request.model = model;
+  request.symptoms = std::move(symptoms);
+  request.top_k = top_k;
+  return manager.Handle(request);
+}
+
 ModelManagerOptions QuietOptions() {
   ModelManagerOptions options;
   options.engine_options.cache_capacity = 64;
@@ -76,14 +87,14 @@ TEST(ModelManagerTest, PublishRouteAndList) {
   ASSERT_TRUE(version.ok());
   EXPECT_EQ(*version, "v1");
 
-  auto scores = (*manager)->Score("herbs", {0});
-  ASSERT_TRUE(scores.ok());
-  ASSERT_EQ(scores->size(), kHerbs);
-  for (double s : *scores) EXPECT_DOUBLE_EQ(s, ExpectedScore(1.0));
+  const Response scores = Query(**manager, "herbs", {0}, 0);
+  ASSERT_TRUE(scores.ok()) << scores.message;
+  ASSERT_EQ(scores.scores.size(), kHerbs);
+  for (double s : scores.scores) EXPECT_DOUBLE_EQ(s, ExpectedScore(1.0));
 
-  auto topk = (*manager)->Recommend("herbs", {0, 2}, 3);
-  ASSERT_TRUE(topk.ok());
-  EXPECT_EQ(topk->size(), 3u);
+  const Response topk = Query(**manager, "herbs", {0, 2}, 3);
+  ASSERT_TRUE(topk.ok()) << topk.message;
+  EXPECT_EQ(topk.herb_ids.size(), 3u);
 
   const auto models = (*manager)->ListModels();
   ASSERT_EQ(models.size(), 1u);
@@ -93,7 +104,7 @@ TEST(ModelManagerTest, PublishRouteAndList) {
   EXPECT_TRUE(models[0].versions[0].active);
   EXPECT_EQ(models[0].versions[0].num_herbs, kHerbs);
 
-  EXPECT_EQ((*manager)->Score("nope", {0}).status().code(),
+  EXPECT_EQ((*manager)->Engine("nope").status().code(),
             smgcn::StatusCode::kNotFound);
 }
 
@@ -103,9 +114,9 @@ TEST(ModelManagerTest, PublishSwapsScoresAtomically) {
   ASSERT_TRUE((*manager)->Publish(ConstantCheckpoint("m", 1.0), "v1").ok());
   ASSERT_TRUE((*manager)->Publish(ConstantCheckpoint("m", 2.0), "v2").ok());
 
-  auto scores = (*manager)->Score("m", {1});
-  ASSERT_TRUE(scores.ok());
-  EXPECT_DOUBLE_EQ((*scores)[0], ExpectedScore(2.0));
+  const Response scores = Query(**manager, "m", {1}, 0);
+  ASSERT_TRUE(scores.ok()) << scores.message;
+  EXPECT_DOUBLE_EQ(scores.scores[0], ExpectedScore(2.0));
   EXPECT_EQ(*(*manager)->ActiveVersion("m"), "v2");
 
   // The engine (and its stats) survive the swap.
@@ -123,9 +134,9 @@ TEST(ModelManagerTest, DuplicateVersionIsRejected) {
       smgcn::StatusCode::kAlreadyExists);
   // The active version is untouched by the failed publish.
   EXPECT_EQ(*(*manager)->ActiveVersion("m"), "v1");
-  auto scores = (*manager)->Score("m", {0});
-  ASSERT_TRUE(scores.ok());
-  EXPECT_DOUBLE_EQ((*scores)[0], ExpectedScore(1.0));
+  const Response scores = Query(**manager, "m", {0}, 0);
+  ASSERT_TRUE(scores.ok()) << scores.message;
+  EXPECT_DOUBLE_EQ(scores.scores[0], ExpectedScore(1.0));
 }
 
 TEST(ModelManagerTest, FailedFirstPublishLeavesNoModelBehind) {
@@ -147,9 +158,9 @@ TEST(ModelManagerTest, RollbackReactivatesPredecessor) {
 
   ASSERT_TRUE((*manager)->Rollback("m").ok());
   EXPECT_EQ(*(*manager)->ActiveVersion("m"), "v2");
-  auto scores = (*manager)->Score("m", {0});
-  ASSERT_TRUE(scores.ok());
-  EXPECT_DOUBLE_EQ((*scores)[0], ExpectedScore(2.0));
+  const Response scores = Query(**manager, "m", {0}, 0);
+  ASSERT_TRUE(scores.ok()) << scores.message;
+  EXPECT_DOUBLE_EQ(scores.scores[0], ExpectedScore(2.0));
 
   ASSERT_TRUE((*manager)->Rollback("m").ok());
   EXPECT_EQ(*(*manager)->ActiveVersion("m"), "v1");
@@ -204,12 +215,12 @@ TEST(ModelManagerTest, ModelsAreIsolated) {
   ASSERT_TRUE((*manager)->Publish(ConstantCheckpoint("a", 1.0), "v1").ok());
   ASSERT_TRUE((*manager)->Publish(ConstantCheckpoint("b", 3.0), "v7").ok());
 
-  auto a = (*manager)->Score("a", {0});
-  auto b = (*manager)->Score("b", {0});
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_DOUBLE_EQ((*a)[0], ExpectedScore(1.0));
-  EXPECT_DOUBLE_EQ((*b)[0], ExpectedScore(3.0));
+  const Response a = Query(**manager, "a", {0}, 0);
+  const Response b = Query(**manager, "b", {0}, 0);
+  ASSERT_TRUE(a.ok()) << a.message;
+  ASSERT_TRUE(b.ok()) << b.message;
+  EXPECT_DOUBLE_EQ(a.scores[0], ExpectedScore(1.0));
+  EXPECT_DOUBLE_EQ(b.scores[0], ExpectedScore(3.0));
 
   const auto models = (*manager)->ListModels();
   ASSERT_EQ(models.size(), 2u);
@@ -230,9 +241,9 @@ TEST(ModelManagerTest, PublishArtifactUsesEmbeddedIdentity) {
   EXPECT_EQ(receipt->model, "artifact-model");
   EXPECT_EQ(receipt->version, "2026-08-08-b");
 
-  auto scores = (*manager)->Score("artifact-model", {0});
-  ASSERT_TRUE(scores.ok());
-  EXPECT_DOUBLE_EQ((*scores)[0], ExpectedScore(2.0));
+  const Response scores = Query(**manager, "artifact-model", {0}, 0);
+  ASSERT_TRUE(scores.ok()) << scores.message;
+  EXPECT_DOUBLE_EQ(scores.scores[0], ExpectedScore(2.0));
 
   // Same version again: rejected, identity comes from the file.
   EXPECT_EQ((*manager)->PublishArtifact(path).status().code(),
@@ -262,9 +273,9 @@ TEST(ModelManagerTest, PublishArtifactServesF32StoreAtF32Precision) {
             tensor::Precision::kFloat32);
 
   // 1.5 and its products are exact in f32, so scores are still exact.
-  auto scores = (*manager)->Score("f32-model", {0});
-  ASSERT_TRUE(scores.ok());
-  EXPECT_DOUBLE_EQ((*scores)[0], ExpectedScore(1.5));
+  const Response scores = Query(**manager, "f32-model", {0}, 0);
+  ASSERT_TRUE(scores.ok()) << scores.message;
+  EXPECT_DOUBLE_EQ(scores.scores[0], ExpectedScore(1.5));
 }
 
 TEST(ModelManagerTest, PublishArtifactServesInt8StoreAtStoredPrecision) {
@@ -291,9 +302,9 @@ TEST(ModelManagerTest, PublishArtifactServesInt8StoreAtStoredPrecision) {
 
   // Constant rows quantize to 127 * (value/127): scores land within f32
   // scale rounding of the exact kDim * value^2.
-  auto scores = (*manager)->Score("int8-model", {0});
-  ASSERT_TRUE(scores.ok());
-  EXPECT_NEAR((*scores)[0], ExpectedScore(2.0), 1e-4 * ExpectedScore(2.0));
+  const Response scores = Query(**manager, "int8-model", {0}, 0);
+  ASSERT_TRUE(scores.ok()) << scores.message;
+  EXPECT_NEAR(scores.scores[0], ExpectedScore(2.0), 1e-4 * ExpectedScore(2.0));
 }
 
 TEST(ModelManagerTest, InstrumentsAreRegistered) {
@@ -354,14 +365,14 @@ TEST(ModelManagerHammerTest, ConcurrentPublishAndQuery) {
     readers.emplace_back([&, r] {
       const std::vector<int> symptoms = {r % static_cast<int>(kSymptoms)};
       while (!stop.load(std::memory_order_relaxed)) {
-        auto scores = manager->Score("hammer", symptoms);
-        if (!scores.ok() || scores->size() != kHerbs) {
+        const Response scores = Query(*manager, "hammer", symptoms, 0);
+        if (!scores.ok() || scores.scores.size() != kHerbs) {
           failures.fetch_add(1);
           continue;
         }
-        const double first = (*scores)[0];
+        const double first = scores.scores[0];
         // (a) internally consistent: one embedding table scored all herbs.
-        for (double s : *scores) {
+        for (double s : scores.scores) {
           if (s != first) failures.fetch_add(1);
         }
         // (b) attributable: matches ExpectedScore(v) for an integer version

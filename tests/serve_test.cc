@@ -1,7 +1,7 @@
 // Tests for src/serve: query canonicalization, the embedding store's
 // batched scoring (bit-identical to CheckpointRecommender::Score), the
-// sharded LRU cache, serving stats and the ServingEngine's sync, async and
-// shutdown behaviour.
+// sharded LRU cache, serving counters and the ServingEngine's sync, async
+// and shutdown behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,9 +22,7 @@
 #include "src/serve/engine.h"
 #include "src/serve/query.h"
 #include "src/serve/slow_log.h"
-#include "src/serve/stats.h"
 #include "src/util/logging.h"
-#include "src/util/parallel.h"
 #include "src/util/random.h"
 #include "tests/serve_test_util.h"
 
@@ -154,30 +152,30 @@ TEST(EmbeddingStoreTest, BatchedScoresBitIdenticalToPerQueryScore) {
     for (const auto& raw : raw_queries) {
       batch.push_back(*Canonicalize(raw, store->num_symptoms()));
     }
-    const tensor::Matrix scores = store->ScoreBatch(batch);
-    ASSERT_EQ(scores.rows(), batch.size());
-    ASSERT_EQ(scores.cols(), store->num_herbs());
+    const auto scores = ScoreRows(*store, batch);
+    ASSERT_EQ(scores.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       auto expected = reference->Score(batch[i].symptom_ids);
       ASSERT_TRUE(expected.ok());
+      ASSERT_EQ(scores[i].size(), store->num_herbs());
       for (std::size_t h = 0; h < store->num_herbs(); ++h) {
         // EXPECT_EQ, not NEAR: rows must match bit for bit.
-        EXPECT_EQ(scores(i, h), (*expected)[h])
+        EXPECT_EQ(scores[i][h], (*expected)[h])
             << "query " << i << " herb " << h << " mlp=" << with_mlp;
       }
     }
   }
 }
 
-TEST(EmbeddingStoreTest, ScoreOneMatchesBatchRow) {
+TEST(EmbeddingStoreTest, SingleQueryRowMatchesBatchRows) {
   auto store = EmbeddingStore::Build(MakeCheckpoint());
   ASSERT_TRUE(store.ok());
   const CanonicalQuery q = *Canonicalize({2, 7, 11}, store->num_symptoms());
-  const std::vector<double> one = store->ScoreOne(q);
-  const tensor::Matrix batch = store->ScoreBatch({q, q});
+  const std::vector<double> one = ScoreRow(*store, q);
+  const auto batch = ScoreRows(*store, {q, q});
   for (std::size_t h = 0; h < store->num_herbs(); ++h) {
-    EXPECT_EQ(one[h], batch(0, h));
-    EXPECT_EQ(one[h], batch(1, h));
+    EXPECT_EQ(one[h], batch[0][h]);
+    EXPECT_EQ(one[h], batch[1][h]);
   }
 }
 
@@ -195,8 +193,8 @@ TEST(EmbeddingStoreTest, Float32BuildHalvesPayloadAndTracksReference) {
   // f32 scores track the f64 reference to single-precision accuracy; the
   // strict ranking guarantees live in kernels_test's parity suite.
   const CanonicalQuery q = *Canonicalize({2, 7, 11}, f64->num_symptoms());
-  const std::vector<double> ref = f64->ScoreOne(q);
-  const std::vector<double> got = f32->ScoreOne(q);
+  const std::vector<double> ref = ScoreRow(*f64, q);
+  const std::vector<double> got = ScoreRow(*f32, q);
   ASSERT_EQ(got.size(), ref.size());
   for (std::size_t h = 0; h < ref.size(); ++h) {
     EXPECT_NEAR(got[h], ref[h], 1e-4) << "herb " << h;
@@ -215,11 +213,11 @@ TEST(EmbeddingStoreTest, Float32BatchRowsMatchSingleQueryRuns) {
              {0}, {1, 2, 3}, {5, 9, 13, 21}, {23}, {2, 4, 6, 8, 10, 12}}) {
       batch.push_back(*Canonicalize(raw, store->num_symptoms()));
     }
-    const tensor::Matrix scores = store->ScoreBatch(batch);
+    const auto scores = ScoreRows(*store, batch);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      const std::vector<double> one = store->ScoreOne(batch[i]);
+      const std::vector<double> one = ScoreRow(*store, batch[i]);
       for (std::size_t h = 0; h < store->num_herbs(); ++h) {
-        EXPECT_EQ(scores(i, h), one[h])
+        EXPECT_EQ(scores[i][h], one[h])
             << "query " << i << " herb " << h << " mlp=" << with_mlp;
       }
     }
@@ -252,8 +250,8 @@ TEST(EmbeddingStoreTest, Int8BuildShrinksPayloadAndTracksReference) {
   // within 1/254 of its row absmax). The strict ranking guarantees live in
   // kernels_test's int8 parity suite.
   const CanonicalQuery q = *Canonicalize({2, 7, 11}, f64->num_symptoms());
-  const std::vector<double> ref = f64->ScoreOne(q);
-  const std::vector<double> got = s8->ScoreOne(q);
+  const std::vector<double> ref = ScoreRow(*f64, q);
+  const std::vector<double> got = ScoreRow(*s8, q);
   ASSERT_EQ(got.size(), ref.size());
   double magnitude = 0.0;
   for (const double r : ref) magnitude = std::max(magnitude, std::abs(r));
@@ -275,40 +273,12 @@ TEST(EmbeddingStoreTest, Int8BatchRowsMatchSingleQueryRuns) {
              {0}, {1, 2, 3}, {5, 9, 13, 21}, {23}, {2, 4, 6, 8, 10, 12}}) {
       batch.push_back(*Canonicalize(raw, store->num_symptoms()));
     }
-    const tensor::Matrix scores = store->ScoreBatch(batch);
+    const auto scores = ScoreRows(*store, batch);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      const std::vector<double> one = store->ScoreOne(batch[i]);
+      const std::vector<double> one = ScoreRow(*store, batch[i]);
       for (std::size_t h = 0; h < store->num_herbs(); ++h) {
-        EXPECT_EQ(scores(i, h), one[h])
+        EXPECT_EQ(scores[i][h], one[h])
             << "query " << i << " herb " << h << " mlp=" << with_mlp;
-      }
-    }
-  }
-}
-
-TEST(EmbeddingStoreTest, ScoreBatchIntoMatchesScoreBatchAllPrecisions) {
-  // The engine's zero-copy entry point must produce exactly the rows the
-  // Matrix-returning path does, at every stored precision.
-  for (const auto precision :
-       {tensor::Precision::kFloat64, tensor::Precision::kFloat32,
-        tensor::Precision::kInt8}) {
-    auto store = EmbeddingStore::Build(MakeCheckpoint(24, 40, 8, true),
-                                       precision);
-    ASSERT_TRUE(store.ok());
-    std::vector<CanonicalQuery> batch;
-    for (const auto& raw : std::vector<std::vector<int>>{
-             {0}, {1, 2, 3}, {5, 9, 13, 21}, {23}}) {
-      batch.push_back(*Canonicalize(raw, store->num_symptoms()));
-    }
-    const tensor::Matrix expected = store->ScoreBatch(batch);
-    std::vector<std::vector<double>> rows(batch.size());
-    store->ScoreBatchInto(batch, rows.data());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_EQ(rows[i].size(), store->num_herbs());
-      for (std::size_t h = 0; h < store->num_herbs(); ++h) {
-        EXPECT_EQ(rows[i][h], expected(i, h))
-            << "precision " << static_cast<int>(precision) << " query " << i
-            << " herb " << h;
       }
     }
   }
@@ -336,8 +306,8 @@ TEST(EmbeddingStoreTest, Int8BuildFromArtifactServesStoredIntegers) {
   ASSERT_TRUE(rebuilt.ok());
 
   const CanonicalQuery q = *Canonicalize({2, 7, 11}, 24);
-  const std::vector<double> a = from_artifact->ScoreOne(q);
-  const std::vector<double> b = rebuilt->ScoreOne(q);
+  const std::vector<double> a = ScoreRow(*from_artifact, q);
+  const std::vector<double> b = ScoreRow(*rebuilt, q);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t h = 0; h < a.size(); ++h) EXPECT_EQ(a[h], b[h]);
 }
@@ -401,66 +371,21 @@ TEST(CacheTest, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(cache.Stats().hits, 1u);
 }
 
-// --------------------------------------------------------------------------
-// Stats
-// --------------------------------------------------------------------------
-
-TEST(StatsTest, HistogramPercentilesBracketSamples) {
-  LatencyHistogram hist;
-  for (int i = 0; i < 90; ++i) hist.Record(100e-6);  // ~100us
-  for (int i = 0; i < 10; ++i) hist.Record(10e-3);   // ~10ms
-  EXPECT_EQ(hist.count(), 100u);
-  // p50 lives in the 100us bucket (x2 bucket resolution), p99 in the 10ms one.
-  EXPECT_GT(hist.Percentile(0.50), 30e-6);
-  EXPECT_LT(hist.Percentile(0.50), 300e-6);
-  EXPECT_GT(hist.Percentile(0.99), 3e-3);
-  EXPECT_LT(hist.Percentile(0.99), 30e-3);
-  EXPECT_DOUBLE_EQ(hist.max_seconds(), 10e-3);
-  EXPECT_EQ(hist.Percentile(0.0), hist.Percentile(1e-9));
-}
-
-TEST(StatsTest, EmptyHistogramIsZero) {
-  LatencyHistogram hist;
-  EXPECT_EQ(hist.Percentile(0.5), 0.0);
-  EXPECT_EQ(hist.mean_seconds(), 0.0);
-}
-
-TEST(StatsTest, SingleSamplePercentileIsExact) {
-  // Regression: the raw bucket midpoint for one 100us sample is ~90.5us;
-  // clamping to the recorded range must report the sample itself.
-  LatencyHistogram hist;
-  hist.Record(100e-6);
-  EXPECT_DOUBLE_EQ(hist.Percentile(0.5), 100e-6);
-  EXPECT_DOUBLE_EQ(hist.Percentile(1.0), 100e-6);
-}
-
-TEST(StatsTest, IdenticalSamplesClampToThemselves) {
-  LatencyHistogram hist;
-  for (int i = 0; i < 4; ++i) hist.Record(120e-6);
-  EXPECT_DOUBLE_EQ(hist.Percentile(0.5), 120e-6);
-  EXPECT_DOUBLE_EQ(hist.Percentile(0.99), 120e-6);
-}
-
-TEST(StatsTest, OverflowBucketPercentileReportsMax) {
-  // Regression: a sample past the last bucket edge used to report that
-  // bucket's (meaningless) midpoint, ~2e8s for a 1e9s sample.
-  LatencyHistogram hist;
-  for (int i = 0; i < 9; ++i) hist.Record(1e-6);
-  hist.Record(1e9);
-  EXPECT_DOUBLE_EQ(hist.Percentile(1.0), 1e9);
-  EXPECT_DOUBLE_EQ(hist.max_seconds(), 1e9);
-}
-
-TEST(StatsTest, SnapshotCsvRowMatchesHeader) {
-  StatsRecorder recorder;
-  recorder.RecordBatch(4);
-  for (int i = 0; i < 4; ++i) recorder.RecordQuery(1e-3);
-  const ServingStatsSnapshot snap = recorder.Snapshot(CacheStats{});
-  EXPECT_EQ(snap.queries, 4u);
-  EXPECT_EQ(snap.batches, 1u);
-  EXPECT_DOUBLE_EQ(snap.mean_batch_size, 4.0);
-  EXPECT_EQ(snap.ToCsvRow().size(), ServingStatsSnapshot::CsvHeader().size());
-  EXPECT_FALSE(snap.ToString().empty());
+TEST(CacheTest, SizeGaugeTracksEntriesWithoutStats) {
+  // /metrics reads the registry gauge, never Stats(): the gauge must follow
+  // every insert, eviction and Clear on its own.
+  obs::Registry registry;
+  ShardedTopKCache cache(2, 1, &registry, "cache.");
+  const obs::Gauge* size = registry.GetGauge("cache.size");
+  cache.Insert(1, {1}, 5, {10});
+  cache.Insert(2, {2}, 5, {20});
+  EXPECT_EQ(size->value(), 2.0);
+  cache.Insert(2, {2}, 5, {21});  // overwrite: no new entry
+  EXPECT_EQ(size->value(), 2.0);
+  cache.Insert(3, {3}, 5, {30});  // evicts one: occupancy stays at capacity
+  EXPECT_EQ(size->value(), 2.0);
+  cache.Clear();
+  EXPECT_EQ(size->value(), 0.0);
 }
 
 // --------------------------------------------------------------------------
@@ -473,6 +398,22 @@ std::unique_ptr<ServingEngine> MakeEngine(ServingEngineOptions options = {}) {
   return std::move(engine).value();
 }
 
+// One of the engine's registry counters, e.g. "batches" or "cache.hits".
+std::uint64_t EngineCounter(const ServingEngine& engine,
+                            const std::string& name) {
+  return obs::Registry::Global()
+      .GetCounter(engine.obs_prefix() + name)
+      ->value();
+}
+
+// The top-k herb ids a synchronous ranked request gets back.
+std::vector<std::size_t> TopK(const ServingEngine& engine,
+                              std::vector<int> symptoms, std::size_t k) {
+  const Response response = engine.Handle(MakeRequest(std::move(symptoms), k));
+  EXPECT_TRUE(response.ok()) << response.message;
+  return response.herb_ids;
+}
+
 TEST(ServingEngineTest, CreateRejectsBadOptions) {
   ServingEngineOptions options;
   options.max_batch_size = 0;
@@ -480,7 +421,7 @@ TEST(ServingEngineTest, CreateRejectsBadOptions) {
             smgcn::StatusCode::kInvalidArgument);
 }
 
-TEST(ServingEngineTest, ScoreBatchBitIdenticalToCheckpointRecommender) {
+TEST(ServingEngineTest, DenseHandleBatchBitIdenticalToCheckpointRecommender) {
   core::InferenceCheckpoint ckpt = MakeCheckpoint();
   auto reference = core::CheckpointRecommender::FromCheckpoint(ckpt);
   ASSERT_TRUE(reference.ok());
@@ -489,48 +430,52 @@ TEST(ServingEngineTest, ScoreBatchBitIdenticalToCheckpointRecommender) {
 
   const std::vector<std::vector<int>> queries = {
       {4, 2, 0}, {11}, {1, 3, 5, 7, 9}, {20, 22}};
-  auto batch = (*engine)->ScoreBatch(queries);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), queries.size());
+  std::vector<Request> requests;
+  for (const auto& query : queries) requests.push_back(MakeRequest(query, 0));
+  const std::vector<Response> responses = (*engine)->HandleBatch(requests);
+  ASSERT_EQ(responses.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok()) << responses[i].message;
+    EXPECT_EQ(responses[i].model, "test-ckpt");
+    EXPECT_EQ(responses[i].version, "v1");
+    EXPECT_TRUE(responses[i].herb_ids.empty());
     const auto canonical = Canonicalize(queries[i], 24);
     auto expected = reference->Score(canonical->symptom_ids);
     ASSERT_TRUE(expected.ok());
-    EXPECT_EQ((*batch)[i], *expected) << "query " << i;
+    // Bit-identical, not approximately equal: both paths run the same
+    // fixed-order arithmetic.
+    EXPECT_EQ(responses[i].scores, *expected) << "query " << i;
   }
 }
 
-TEST(ServingEngineTest, RecommendMatchesRecommendBatchAndIsCanonical) {
+TEST(ServingEngineTest, HandleMatchesHandleBatchAndIsCanonical) {
   auto engine = MakeEngine();
   // {3,1,3} and {1,3} are the same query; both paths must agree.
-  auto a = engine->Recommend({3, 1, 3}, 10);
-  auto b = engine->Recommend({1, 3}, 10);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);
-  auto batch = engine->RecommendBatch({{3, 1, 3}, {1, 3}}, 10);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ((*batch)[0], *a);
-  EXPECT_EQ((*batch)[1], *a);
-}
-
-TEST(ServingEngineTest, MalformedQueryNamesIndex) {
-  auto engine = MakeEngine();
-  auto result = engine->ScoreBatch({{1}, {999}});
-  EXPECT_EQ(result.status().code(), smgcn::StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("query 1"), std::string::npos);
-  EXPECT_TRUE(engine->ScoreBatch({}).ok());  // empty batch is fine
+  const std::vector<std::size_t> a = TopK(*engine, {3, 1, 3}, 10);
+  EXPECT_EQ(TopK(*engine, {1, 3}, 10), a);
+  const std::vector<Response> batch = engine->HandleBatch(
+      {MakeRequest({3, 1, 3}, 10), MakeRequest({1, 3}, 10)});
+  EXPECT_EQ(batch[0].herb_ids, a);
+  EXPECT_EQ(batch[1].herb_ids, a);
+  EXPECT_TRUE(batch[0].scores.empty());  // ranked mode carries no scores
 }
 
 TEST(ServingEngineTest, RepeatQueriesHitCache) {
   auto engine = MakeEngine();
-  ASSERT_TRUE(engine->Recommend({1, 2, 3}, 10).ok());
-  ASSERT_TRUE(engine->Recommend({3, 2, 1, 1}, 10).ok());  // same canonical set
-  const ServingStatsSnapshot stats = engine->Stats();
-  EXPECT_EQ(stats.cache.misses, 1u);
-  EXPECT_EQ(stats.cache.hits, 1u);
+  ASSERT_FALSE(TopK(*engine, {1, 2, 3}, 10).empty());
+  ASSERT_FALSE(TopK(*engine, {3, 2, 1, 1}, 10).empty());  // same canonical set
+  EXPECT_EQ(EngineCounter(*engine, "cache.misses"), 1u);
+  EXPECT_EQ(EngineCounter(*engine, "cache.hits"), 1u);
   // The second query must not have triggered another GEMM.
-  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(EngineCounter(*engine, "batches"), 1u);
+  // The serving counters /metrics and the benchmarks read.
+  obs::Registry& registry = obs::Registry::Global();
+  const std::string& prefix = engine->obs_prefix();
+  EXPECT_EQ(EngineCounter(*engine, "queries"), 2u);
+  EXPECT_EQ(EngineCounter(*engine, "batched_queries"), 1u);
+  EXPECT_EQ(registry.GetGauge(prefix + "max_batch_size")->value(), 1.0);
+  EXPECT_EQ(registry.GetHistogram(prefix + "latency.seconds")->count(), 2u);
+  EXPECT_EQ(registry.GetGauge(prefix + "cache.size")->value(), 1.0);
 }
 
 TEST(ServingEngineTest, TopKBeyondCatalogClampsAndSharesOneCacheEntry) {
@@ -540,95 +485,54 @@ TEST(ServingEngineTest, TopKBeyondCatalogClampsAndSharesOneCacheEntry) {
   // k cached separately (the cache requires an exact k match), so the
   // second request below was a miss and a fresh GEMM.
   auto engine = MakeEngine();
-  const std::size_t num_herbs = engine->store().num_herbs();
+  const std::size_t num_herbs = engine->Snapshot()->store.num_herbs();
   ASSERT_EQ(num_herbs, 40u);
 
-  auto exact = engine->Recommend({1, 2, 3}, num_herbs);
-  ASSERT_TRUE(exact.ok());
-  ASSERT_EQ(exact->size(), num_herbs);
-  std::set<std::size_t> distinct(exact->begin(), exact->end());
+  const std::vector<std::size_t> exact = TopK(*engine, {1, 2, 3}, num_herbs);
+  ASSERT_EQ(exact.size(), num_herbs);
+  std::set<std::size_t> distinct(exact.begin(), exact.end());
   EXPECT_EQ(distinct.size(), num_herbs);  // every herb exactly once
 
-  auto over = engine->Recommend({1, 2, 3}, num_herbs + 1);
-  ASSERT_TRUE(over.ok());
-  EXPECT_EQ(*over, *exact);
-  auto way_over = engine->Recommend({1, 2, 3}, 1000000);
-  ASSERT_TRUE(way_over.ok());
-  EXPECT_EQ(*way_over, *exact);
+  EXPECT_EQ(TopK(*engine, {1, 2, 3}, num_herbs + 1), exact);
+  EXPECT_EQ(TopK(*engine, {1, 2, 3}, 1000000), exact);
 
-  const ServingStatsSnapshot stats = engine->Stats();
-  EXPECT_EQ(stats.cache.misses, 1u);
-  EXPECT_EQ(stats.cache.hits, 2u);
-  EXPECT_EQ(stats.batches, 1u);  // one GEMM served all three ks
+  EXPECT_EQ(EngineCounter(*engine, "cache.misses"), 1u);
+  EXPECT_EQ(EngineCounter(*engine, "cache.hits"), 2u);
+  EXPECT_EQ(EngineCounter(*engine, "batches"), 1u);  // one GEMM, three ks
 }
 
 TEST(ServingEngineTest, SubmitClampsTopKBeyondCatalog) {
   auto engine = MakeEngine();
-  const std::size_t num_herbs = engine->store().num_herbs();
-  auto expected = engine->Recommend({2, 4}, num_herbs);
-  ASSERT_TRUE(expected.ok());
-  auto future = engine->Submit({2, 4}, num_herbs + 25);
-  auto result = future.get();
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*result, *expected);
+  const std::size_t num_herbs = engine->Snapshot()->store.num_herbs();
+  const std::vector<std::size_t> expected = TopK(*engine, {2, 4}, num_herbs);
+  const Response result =
+      engine->SubmitRequest(MakeRequest({2, 4}, num_herbs + 25)).get();
+  ASSERT_TRUE(result.ok()) << result.message;
+  EXPECT_EQ(result.herb_ids, expected);
 }
 
 TEST(ServingEngineTest, Float32PrecisionOptionServes) {
   ServingEngineOptions options;
   options.precision = tensor::Precision::kFloat32;
   auto f32_engine = MakeEngine(options);
-  EXPECT_EQ(f32_engine->store().precision(), tensor::Precision::kFloat32);
+  EXPECT_EQ(f32_engine->Snapshot()->store.precision(),
+            tensor::Precision::kFloat32);
   auto f64_engine = MakeEngine();
 
-  auto a = f32_engine->Recommend({1, 2, 3}, 10);
-  auto b = f64_engine->Recommend({1, 2, 3}, 10);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->size(), 10u);
+  const std::vector<std::size_t> a = TopK(*f32_engine, {1, 2, 3}, 10);
+  const std::vector<std::size_t> b = TopK(*f64_engine, {1, 2, 3}, 10);
+  ASSERT_EQ(a.size(), 10u);
   // Narrowing can swap near-tied neighbours; membership should still be
   // near-total (the strict thresholds live in kernels_test).
-  std::set<std::size_t> a_set(a->begin(), a->end());
+  std::set<std::size_t> a_set(a.begin(), a.end());
   std::size_t agree = 0;
-  for (std::size_t id : *b) agree += a_set.count(id);
+  for (std::size_t id : b) agree += a_set.count(id);
   EXPECT_GE(agree, 9u);
 
   // Publish through the engine keeps the configured precision.
   ASSERT_TRUE(f32_engine->Publish(MakeCheckpoint(), "v2").ok());
-  EXPECT_EQ(f32_engine->store().precision(), tensor::Precision::kFloat32);
-}
-
-TEST(ServingEngineTest, StatsCompatibilityViewMatchesRegistry) {
-  // Stats() is a thin view assembled from the engine's registry scope; for
-  // a fixed workload its values must match the pre-redesign recorder:
-  // 3 distinct queries (one GEMM each) plus 1 repeat (cache hit, no GEMM).
-  auto engine = MakeEngine();
-  ASSERT_TRUE(engine->Recommend({1, 2, 3}, 10).ok());
-  ASSERT_TRUE(engine->Recommend({4, 5}, 10).ok());
-  ASSERT_TRUE(engine->Recommend({6}, 10).ok());
-  ASSERT_TRUE(engine->Recommend({3, 2, 1}, 10).ok());
-
-  const ServingStatsSnapshot stats = engine->Stats();
-  EXPECT_EQ(stats.queries, 4u);
-  EXPECT_EQ(stats.batches, 3u);
-  EXPECT_EQ(stats.batched_queries, 3u);
-  EXPECT_EQ(stats.max_batch_size, 1u);
-  EXPECT_DOUBLE_EQ(stats.mean_batch_size, 1.0);
-  EXPECT_EQ(stats.cache.misses, 3u);
-  EXPECT_EQ(stats.cache.hits, 1u);
-  EXPECT_GT(stats.latency_p50_ms, 0.0);
-
-  // Cross-check every snapshot field against the underlying instruments.
-  obs::Registry& reg = obs::Registry::Global();
-  const std::string& prefix = engine->obs_prefix();
-  EXPECT_EQ(reg.GetCounter(prefix + "queries")->value(), stats.queries);
-  EXPECT_EQ(reg.GetCounter(prefix + "batches")->value(), stats.batches);
-  EXPECT_EQ(reg.GetCounter(prefix + "batched_queries")->value(),
-            stats.batched_queries);
-  EXPECT_EQ(reg.GetCounter(prefix + "cache.hits")->value(), stats.cache.hits);
-  EXPECT_EQ(reg.GetCounter(prefix + "cache.misses")->value(),
-            stats.cache.misses);
-  EXPECT_EQ(reg.GetHistogram(prefix + "latency.seconds")->count(),
-            stats.queries);
+  EXPECT_EQ(f32_engine->Snapshot()->store.precision(),
+            tensor::Precision::kFloat32);
 }
 
 TEST(ServingEngineTest, EnginesGetDistinctObsScopes) {
@@ -636,40 +540,40 @@ TEST(ServingEngineTest, EnginesGetDistinctObsScopes) {
   auto b = MakeEngine();
   EXPECT_NE(a->obs_prefix(), b->obs_prefix());
   // One engine's traffic must not leak into the other's instruments.
-  ASSERT_TRUE(a->Recommend({1, 2}, 5).ok());
-  EXPECT_EQ(a->Stats().queries, 1u);
-  EXPECT_EQ(b->Stats().queries, 0u);
+  ASSERT_FALSE(TopK(*a, {1, 2}, 5).empty());
+  EXPECT_EQ(EngineCounter(*a, "queries"), 1u);
+  EXPECT_EQ(EngineCounter(*b, "queries"), 0u);
 }
 
 TEST(ServingEngineTest, CacheDisabledStillServes) {
   ServingEngineOptions options;
   options.cache_capacity = 0;
   auto engine = MakeEngine(options);
-  auto a = engine->Recommend({1, 2}, 5);
-  auto b = engine->Recommend({1, 2}, 5);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);
-  EXPECT_EQ(engine->Stats().cache.hits, 0u);
-  EXPECT_EQ(engine->Stats().batches, 2u);
+  const std::vector<std::size_t> a = TopK(*engine, {1, 2}, 5);
+  ASSERT_FALSE(a.empty());
+  EXPECT_EQ(TopK(*engine, {1, 2}, 5), a);
+  EXPECT_EQ(EngineCounter(*engine, "cache.hits"), 0u);
+  EXPECT_EQ(EngineCounter(*engine, "batches"), 2u);
 }
 
-TEST(ServingEngineTest, SubmitMatchesSyncRecommend) {
+TEST(ServingEngineTest, SubmitRequestMatchesHandle) {
   auto engine = MakeEngine();
-  auto expected = engine->Recommend({2, 4, 6}, 8);
-  ASSERT_TRUE(expected.ok());
-  auto future = engine->Submit({6, 4, 2, 2}, 8);  // same canonical query
-  auto result = future.get();
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*result, *expected);
+  const std::vector<std::size_t> expected = TopK(*engine, {2, 4, 6}, 8);
+  ASSERT_FALSE(expected.empty());
+  // Same canonical query.
+  const Response result =
+      engine->SubmitRequest(MakeRequest({6, 4, 2, 2}, 8)).get();
+  ASSERT_TRUE(result.ok()) << result.message;
+  EXPECT_EQ(result.herb_ids, expected);
+  EXPECT_EQ(result.version, "v1");
 }
 
 TEST(ServingEngineTest, SubmitRejectsMalformedImmediately) {
   auto engine = MakeEngine();
-  EXPECT_EQ(engine->Submit({}, 5).get().status().code(),
-            smgcn::StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine->Submit({-3}, 5).get().status().code(),
-            smgcn::StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->SubmitRequest(MakeRequest({}, 5)).get().status,
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->SubmitRequest(MakeRequest({-3}, 5)).get().status,
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ServingEngineTest, ConcurrentSubmitsFromManyThreads) {
@@ -683,9 +587,8 @@ TEST(ServingEngineTest, ConcurrentSubmitsFromManyThreads) {
   std::vector<std::vector<std::size_t>> expected;
   for (int i = 0; i < 24; ++i) {
     queries.push_back({i % 24, (i * 7 + 1) % 24, (i * 3 + 2) % 24});
-    auto top = engine->Recommend(queries.back(), 10);
-    ASSERT_TRUE(top.ok());
-    expected.push_back(*top);
+    expected.push_back(TopK(*engine, queries.back(), 10));
+    ASSERT_FALSE(expected.back().empty());
   }
 
   constexpr int kThreads = 8;
@@ -694,35 +597,35 @@ TEST(ServingEngineTest, ConcurrentSubmitsFromManyThreads) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      std::vector<std::future<Result<std::vector<std::size_t>>>> futures;
+      std::vector<std::future<Response>> futures;
       for (int i = 0; i < kPerThread; ++i) {
         const auto& q = queries[(t * kPerThread + i) % queries.size()];
-        futures.push_back(engine->Submit(q, 10));
+        futures.push_back(engine->SubmitRequest(MakeRequest(q, 10)));
       }
       for (int i = 0; i < kPerThread; ++i) {
-        auto result = futures[i].get();
+        const Response result = futures[i].get();
         const auto& want = expected[(t * kPerThread + i) % expected.size()];
-        if (!result.ok() || *result != want) mismatches.fetch_add(1);
+        if (!result.ok() || result.herb_ids != want) mismatches.fetch_add(1);
       }
     });
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
-  const ServingStatsSnapshot stats = engine->Stats();
-  EXPECT_GE(stats.queries, static_cast<std::uint64_t>(kThreads * kPerThread));
-  EXPECT_GT(stats.cache.hits, 0u);  // repeats must hit the cache
+  EXPECT_GE(EngineCounter(*engine, "queries"),
+            static_cast<std::uint64_t>(kThreads * kPerThread));
+  // Repeats must hit the cache.
+  EXPECT_GT(EngineCounter(*engine, "cache.hits"), 0u);
 }
 
-TEST(ServingEngineTest, ScoreBatchHammeredUnderParallelKernels) {
-  // Cache + stats audit under the multi-threaded kernels: a deliberately
-  // tiny sharded cache (constant evictions) is hammered by sync ScoreBatch,
-  // RecommendBatch and async Submit from several threads while the tensor
-  // kernels themselves fan out across the process-wide parallel pool.
-  parallel::SetNumThreads(4);
+TEST(ServingEngineTest, HandleBatchHammeredUnderParallelKernels) {
+  // Cache + counter audit under the multi-threaded kernels: a deliberately
+  // tiny sharded cache (constant evictions) is hammered by sync dense and
+  // ranked HandleBatch and async SubmitRequest from several threads while
+  // the tensor kernels and the engine's pool fan out across 4 threads.
+  ScopedNumThreads threads_scope(4);
   ServingEngineOptions options;
   options.max_batch_size = 8;
   options.max_wait_ms = 0.1;
-  options.num_threads = 3;
   options.cache_capacity = 6;  // forces eviction churn
   options.cache_shards = 2;
   auto engine = MakeEngine(options);
@@ -732,12 +635,11 @@ TEST(ServingEngineTest, ScoreBatchHammeredUnderParallelKernels) {
   std::vector<std::vector<std::size_t>> expected_topk;
   for (int i = 0; i < 16; ++i) {
     queries.push_back({i % 24, (i * 5 + 3) % 24});
-    auto scores = engine->Score(queries.back());
-    ASSERT_TRUE(scores.ok());
-    expected_scores.push_back(*scores);
-    auto top = engine->Recommend(queries.back(), 6);
-    ASSERT_TRUE(top.ok());
-    expected_topk.push_back(*top);
+    const Response scores = engine->Handle(MakeRequest(queries.back(), 0));
+    ASSERT_TRUE(scores.ok()) << scores.message;
+    expected_scores.push_back(scores.scores);
+    expected_topk.push_back(TopK(*engine, queries.back(), 6));
+    ASSERT_FALSE(expected_topk.back().empty());
   }
 
   constexpr int kThreads = 6;
@@ -751,61 +653,67 @@ TEST(ServingEngineTest, ScoreBatchHammeredUnderParallelKernels) {
         const std::vector<std::vector<int>> batch = {
             queries[base % queries.size()], queries[(base + 5) % queries.size()],
             queries[(base + 11) % queries.size()]};
-        if (i % 3 == 0) {
-          auto scores = engine->ScoreBatch(batch);
-          if (!scores.ok() || (*scores)[0] != expected_scores[base % queries.size()]) {
-            mismatches.fetch_add(1);
-            continue;
-          }
-        } else if (i % 3 == 1) {
-          auto top = engine->RecommendBatch(batch, 6);
-          if (!top.ok() || (*top)[0] != expected_topk[base % queries.size()]) {
+        if (i % 3 == 2) {
+          const Response top =
+              engine->SubmitRequest(MakeRequest(batch[0], 6)).get();
+          if (!top.ok() ||
+              top.herb_ids != expected_topk[base % queries.size()]) {
             mismatches.fetch_add(1);
           }
-        } else {
-          auto future = engine->Submit(batch[0], 6);
-          auto top = future.get();
-          if (!top.ok() || *top != expected_topk[base % queries.size()]) {
-            mismatches.fetch_add(1);
-          }
+          continue;
         }
+        // i % 3 == 0: dense scores; i % 3 == 1: ranked top-k.
+        const std::size_t top_k = i % 3 == 0 ? 0 : 6;
+        std::vector<Request> requests;
+        for (const auto& q : batch) requests.push_back(MakeRequest(q, top_k));
+        const std::vector<Response> responses = engine->HandleBatch(requests);
+        const bool match =
+            responses[0].ok() &&
+            (top_k == 0
+                 ? responses[0].scores == expected_scores[base % queries.size()]
+                 : responses[0].herb_ids ==
+                       expected_topk[base % queries.size()]);
+        if (!match) mismatches.fetch_add(1);
       }
     });
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
 
-  const ServingStatsSnapshot stats = engine->Stats();
   // Counter coherence across shards: every lookup is either a hit or a miss,
   // occupancy never exceeds the budget, and churn actually happened.
-  EXPECT_GT(stats.cache.misses, 0u);
-  EXPECT_GT(stats.cache.evictions, 0u);
-  EXPECT_LE(stats.cache.size, stats.cache.capacity);
-  EXPECT_LE(stats.cache.evictions, stats.cache.misses);
-  EXPECT_GE(stats.queries, static_cast<std::uint64_t>(kThreads * kIters));
-  parallel::SetNumThreads(1);
+  obs::Registry& registry = obs::Registry::Global();
+  const std::string& prefix = engine->obs_prefix();
+  EXPECT_GT(EngineCounter(*engine, "cache.misses"), 0u);
+  EXPECT_GT(EngineCounter(*engine, "cache.evictions"), 0u);
+  EXPECT_LE(registry.GetGauge(prefix + "cache.size")->value(),
+            registry.GetGauge(prefix + "cache.capacity")->value());
+  EXPECT_LE(EngineCounter(*engine, "cache.evictions"),
+            EngineCounter(*engine, "cache.misses"));
+  EXPECT_GE(EngineCounter(*engine, "queries"),
+            static_cast<std::uint64_t>(kThreads * kIters));
 }
 
 TEST(ServingEngineTest, ShutdownDrainsQueuedQueries) {
   auto engine = MakeEngine();
   // Every slot busy: the queries stay queued until the drain flushes them.
   ServingEngineTestPeer busy(engine.get(), ServingEngineTestPeer::kAllSlots);
-  std::vector<std::future<Result<std::vector<std::size_t>>>> futures;
+  std::vector<std::future<Response>> futures;
   for (int i = 0; i < 20; ++i) {
-    futures.push_back(engine->Submit({i % 24}, 5));
+    futures.push_back(engine->SubmitRequest(MakeRequest({i % 24}, 5)));
   }
   engine->Shutdown();
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
   // After shutdown, new queries fail fast.
-  EXPECT_EQ(engine->Submit({1}, 5).get().status().code(),
-            smgcn::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine->SubmitRequest(MakeRequest({1}, 5)).get().status,
+            StatusCode::kUnavailable);
 }
 
 TEST(ServingEngineTest, DestructorDrainsImplicitly) {
-  std::future<Result<std::vector<std::size_t>>> future;
+  std::future<Response> future;
   {
     auto engine = MakeEngine();
-    future = engine->Submit({1, 2}, 5);
+    future = engine->SubmitRequest(MakeRequest({1, 2}, 5));
   }  // ~ServingEngine must resolve the future
   EXPECT_TRUE(future.get().ok());
 }
@@ -872,44 +780,13 @@ TEST(DispatchRuleTest, DeadlineFlushCutsAHeldBatch) {
 }
 
 // --------------------------------------------------------------------------
-// EngineRecommender adapter
-// --------------------------------------------------------------------------
-
-TEST(EngineRecommenderTest, OverridesBatchPathAndMatchesBase) {
-  core::InferenceCheckpoint ckpt = MakeCheckpoint();
-  auto reference = core::CheckpointRecommender::FromCheckpoint(ckpt);
-  ASSERT_TRUE(reference.ok());
-  auto engine = ServingEngine::Create(std::move(ckpt));
-  ASSERT_TRUE(engine.ok());
-  EngineRecommender recommender(engine->get());
-
-  EXPECT_EQ(recommender.name(), "test-ckpt");
-  EXPECT_EQ(recommender.Fit(data::Corpus()).code(),
-            smgcn::StatusCode::kFailedPrecondition);
-
-  const std::vector<std::vector<int>> queries = {{1, 2}, {5, 9, 13}};
-  // The base-class default loops Score; the adapter fuses one GEMM. Both
-  // must agree with the checkpoint recommender (bit-identical rows).
-  auto fused = recommender.ScoreBatch(queries);
-  auto looped = reference->ScoreBatch(queries);
-  ASSERT_TRUE(fused.ok());
-  ASSERT_TRUE(looped.ok());
-  EXPECT_EQ(*fused, *looped);
-
-  // Top-k through the inherited Recommend() convenience.
-  auto top = recommender.Recommend({1, 2}, 5);
-  ASSERT_TRUE(top.ok());
-  EXPECT_EQ(top->size(), 5u);
-}
-
-// --------------------------------------------------------------------------
 // Slow-query log
 // --------------------------------------------------------------------------
 
 TEST(SlowQueryLogTest, DisabledByDefault) {
   auto engine = MakeEngine();
   EXPECT_FALSE(engine->slow_query_log().enabled());
-  ASSERT_TRUE(engine->Recommend({1, 2, 3}, 5).ok());
+  ASSERT_FALSE(TopK(*engine, {1, 2, 3}, 5).empty());
   EXPECT_EQ(engine->slow_query_log().total_recorded(), 0u);
   EXPECT_TRUE(engine->slow_query_log().Snapshot().empty());
 }
@@ -928,8 +805,11 @@ TEST(SlowQueryLogTest, SyncQueriesRecordStageBreakdown) {
   options.cache_shards = 1;  // both queries fit whatever the salt hashes to
   auto engine = MakeEngine(options);
   ASSERT_TRUE(engine->slow_query_log().enabled());
-  ASSERT_TRUE(engine->RecommendBatch({{1, 2}, {3, 4, 5}}, 7).ok());
-  ASSERT_TRUE(engine->Recommend({1, 2}, 7).ok());  // cache hit
+  for (const Response& response : engine->HandleBatch(
+           {MakeRequest({1, 2}, 7), MakeRequest({3, 4, 5}, 7)})) {
+    ASSERT_TRUE(response.ok()) << response.message;
+  }
+  ASSERT_FALSE(TopK(*engine, {1, 2}, 7).empty());  // cache hit
 
   const auto records = engine->slow_query_log().Snapshot();
   ASSERT_EQ(records.size(), 3u);
@@ -960,9 +840,10 @@ TEST(SlowQueryLogTest, AsyncQueriesRecordQueueAndBatch) {
   auto engine = MakeEngine(options);
   // Submitted behind a (held) running batch, the queries coalesce.
   ServingEngineTestPeer running(engine.get(), 1);
-  std::vector<std::future<Result<std::vector<std::size_t>>>> futures;
+  std::vector<std::future<Response>> futures;
   for (int i = 0; i < 16; ++i) {
-    futures.push_back(engine->Submit({i % 24, (i + 3) % 24}, 5));
+    futures.push_back(
+        engine->SubmitRequest(MakeRequest({i % 24, (i + 3) % 24}, 5)));
   }
   running.Release();
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
@@ -988,47 +869,10 @@ TEST(SlowQueryLogTest, EvictsOldestBeyondCapacity) {
   options.cache_capacity = 0;
   auto engine = MakeEngine(options);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(engine->Recommend({i % 24, (i + 1) % 24}, 5).ok());
+    ASSERT_FALSE(TopK(*engine, {i % 24, (i + 1) % 24}, 5).empty());
   }
   EXPECT_EQ(engine->slow_query_log().Snapshot().size(), 4u);
   EXPECT_EQ(engine->slow_query_log().total_recorded(), 10u);
-}
-
-// --------------------------------------------------------------------------
-// Deprecated threading knobs
-// --------------------------------------------------------------------------
-
-TEST(ServingEngineTest, DeprecatedThreadKnobsWarnExactlyOncePerKnob) {
-  // The warnings deduplicate process-wide, and an earlier test in this
-  // binary already constructs an engine with num_threads set — so only
-  // kernel_threads (used nowhere else) can be asserted exactly-once here;
-  // num_threads is asserted at-most-once (the dedup property itself).
-  std::vector<std::string> captured;
-  SetLogSink([&captured](LogLevel level, const std::string& line) {
-    if (level == LogLevel::kWarning) captured.push_back(line);
-  });
-  ServingEngineOptions options;
-  options.num_threads = 2;
-  options.kernel_threads = 2;
-  for (int round = 0; round < 2; ++round) {
-    auto engine = MakeEngine(options);
-    ASSERT_TRUE(engine->Recommend({1, 2}, 5).ok());
-  }
-  SetLogSink(nullptr);
-  std::size_t num_threads_lines = 0;
-  std::size_t kernel_threads_lines = 0;
-  for (const std::string& line : captured) {
-    if (line.find("ServingEngineOptions::num_threads is deprecated") !=
-        std::string::npos) {
-      ++num_threads_lines;
-    }
-    if (line.find("ServingEngineOptions::kernel_threads is deprecated") !=
-        std::string::npos) {
-      ++kernel_threads_lines;
-    }
-  }
-  EXPECT_LE(num_threads_lines, 1u);
-  EXPECT_EQ(kernel_threads_lines, 1u);
 }
 
 // --------------------------------------------------------------------------
@@ -1038,8 +882,8 @@ TEST(ServingEngineTest, DeprecatedThreadKnobsWarnExactlyOncePerKnob) {
 TEST(ServingEngineSwapTest, PublishSwapsScoresAndVersion) {
   auto engine = MakeEngine();
   EXPECT_EQ(engine->active_version(), "v1");
-  auto before = engine->Score({1, 2});
-  ASSERT_TRUE(before.ok());
+  const Response before = engine->Handle(MakeRequest({1, 2}, 0));
+  ASSERT_TRUE(before.ok()) << before.message;
 
   // A different model: same shapes, shifted embeddings.
   core::InferenceCheckpoint next = MakeCheckpoint();
@@ -1051,9 +895,9 @@ TEST(ServingEngineSwapTest, PublishSwapsScoresAndVersion) {
   ASSERT_TRUE(engine->Publish(std::move(next), "v2").ok());
   EXPECT_EQ(engine->active_version(), "v2");
 
-  auto after = engine->Score({1, 2});
-  ASSERT_TRUE(after.ok());
-  EXPECT_NE(*before, *after);
+  const Response after = engine->Handle(MakeRequest({1, 2}, 0));
+  ASSERT_TRUE(after.ok()) << after.message;
+  EXPECT_NE(before.scores, after.scores);
   EXPECT_EQ(engine->Snapshot()->version, "v2");
 }
 
@@ -1069,13 +913,12 @@ TEST(ServingEngineSwapTest, PublishRejectsBadInput) {
 
 TEST(ServingEngineSwapTest, CacheEntriesAreScopedToTheirPublish) {
   auto engine = MakeEngine();
-  ASSERT_TRUE(engine->Recommend({1, 2, 3}, 10).ok());
+  ASSERT_FALSE(TopK(*engine, {1, 2, 3}, 10).empty());
   ASSERT_TRUE(engine->Publish(MakeCheckpoint(12, 40, 8), "v2").ok());
   // Same query, new snapshot: the v1 cache entry must not answer it.
-  ASSERT_TRUE(engine->Recommend({1, 2, 3}, 10).ok());
-  const ServingStatsSnapshot stats = engine->Stats();
-  EXPECT_EQ(stats.cache.hits, 0u);
-  EXPECT_EQ(stats.cache.misses, 2u);
+  ASSERT_FALSE(TopK(*engine, {1, 2, 3}, 10).empty());
+  EXPECT_EQ(EngineCounter(*engine, "cache.hits"), 0u);
+  EXPECT_EQ(EngineCounter(*engine, "cache.misses"), 2u);
 }
 
 TEST(ServingEngineSwapTest, PublishCountsInRegistry) {
@@ -1097,25 +940,27 @@ TEST(ServingEngineSwapTest, InFlightSubmitsFinishOnTheirSnapshot) {
   options.cache_capacity = 0;
   auto engine = MakeEngine(options);
 
-  auto expected = engine->Recommend({2, 4}, 5);
-  ASSERT_TRUE(expected.ok());
+  const std::vector<std::size_t> expected = TopK(*engine, {2, 4}, 5);
+  ASSERT_FALSE(expected.empty());
 
-  std::vector<std::future<Result<std::vector<std::size_t>>>> futures;
+  std::vector<std::future<Response>> futures;
   {
     // Every slot busy: the queries are still queued when the swap lands.
     ServingEngineTestPeer busy(engine.get(), ServingEngineTestPeer::kAllSlots);
-    for (int i = 0; i < 8; ++i) futures.push_back(engine->Submit({2, 4}, 5));
+    for (int i = 0; i < 8; ++i) {
+      futures.push_back(engine->SubmitRequest(MakeRequest({2, 4}, 5)));
+    }
     ASSERT_TRUE(engine->Publish(MakeCheckpoint(12, 40, 8), "v2").ok());
   }
   for (auto& f : futures) {
-    auto result = f.get();
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(*result, *expected);
+    const Response result = f.get();
+    ASSERT_TRUE(result.ok()) << result.message;
+    EXPECT_EQ(result.herb_ids, expected);
   }
   // New queries see the new model's herb count (40 stays, but ids shrink
   // to the 12-symptom vocabulary: symptom 20 is now out of range).
-  EXPECT_EQ(engine->Recommend({20}, 5).status().code(),
-            smgcn::StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->Handle(MakeRequest({20}, 5)).status,
+            StatusCode::kInvalidArgument);
 }
 
 // --------------------------------------------------------------------------
@@ -1147,10 +992,9 @@ TEST(ServeStatusTest, NamesRoundTrip) {
   EXPECT_FALSE(StatusCodeFromName("NOT_A_STATUS").ok());
 }
 
-TEST(ServeStatusTest, EveryInternalCodeMapsAndRoundTrips) {
+TEST(ServeStatusTest, EveryInternalCodeMapsToOneServingStatus) {
   // The mapping table is total: every internal code lands on exactly one
-  // serving status, and mapping back yields an internal status that maps
-  // to the same serving status (the round trip the wire relies on).
+  // serving status.
   const smgcn::StatusCode internal_codes[] = {
       smgcn::StatusCode::kOk,
       smgcn::StatusCode::kInvalidArgument,
@@ -1166,11 +1010,8 @@ TEST(ServeStatusTest, EveryInternalCodeMapsAndRoundTrips) {
       smgcn::StatusCode::kUnavailable,
   };
   for (const auto internal : internal_codes) {
-    const StatusCode serving = FromInternalCode(internal);
-    EXPECT_LE(ToWireByte(serving), kMaxWireStatusByte);
-    const Status back = ToInternalStatus(serving, "msg");
-    EXPECT_EQ(FromInternalCode(back.code()), serving)
-        << "round trip broke for " << StatusCodeToString(internal);
+    EXPECT_LE(ToWireByte(FromInternalCode(internal)), kMaxWireStatusByte)
+        << StatusCodeToString(internal);
   }
   // Spot-check the semantically load-bearing rows.
   EXPECT_EQ(FromInternalCode(smgcn::StatusCode::kOk), StatusCode::kOk);
@@ -1180,12 +1021,6 @@ TEST(ServeStatusTest, EveryInternalCodeMapsAndRoundTrips) {
             StatusCode::kDeadlineExceeded);
   EXPECT_EQ(FromInternalCode(smgcn::StatusCode::kFailedPrecondition),
             StatusCode::kUnavailable);
-  EXPECT_EQ(ToInternalStatus(StatusCode::kShedding, "m").code(),
-            smgcn::StatusCode::kResourceExhausted);
-  // ToInternalStatus carries the message through (except kOk).
-  EXPECT_EQ(ToInternalStatus(StatusCode::kUnavailable, "why").message(),
-            "why");
-  EXPECT_TRUE(ToInternalStatus(StatusCode::kOk, "ignored").ok());
 }
 
 TEST(ServeStatusTest, HttpStatusMapping) {
@@ -1197,59 +1032,8 @@ TEST(ServeStatusTest, HttpStatusMapping) {
 }
 
 // --------------------------------------------------------------------------
-// The unified Request/Response surface (Handle / HandleBatch /
-// SubmitRequest) and the deprecated-but-honoured shims
+// The Request/Response surface (Handle / HandleBatch / SubmitRequest)
 // --------------------------------------------------------------------------
-
-TEST(RequestSurfaceTest, DenseModeMatchesScoreBatchBitForBit) {
-  auto engine = MakeEngine();
-  const std::vector<std::vector<int>> queries = {{1, 2, 3}, {5}, {0, 23}};
-  auto legacy = engine->ScoreBatch(queries);
-  ASSERT_TRUE(legacy.ok());
-
-  std::vector<Request> requests(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    requests[i].symptoms = queries[i];
-    requests[i].top_k = 0;  // dense mode
-  }
-  const std::vector<Response> responses = engine->HandleBatch(requests);
-  ASSERT_EQ(responses.size(), queries.size());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    ASSERT_TRUE(responses[i].ok()) << responses[i].message;
-    EXPECT_EQ(responses[i].model, "test-ckpt");
-    EXPECT_EQ(responses[i].version, "v1");
-    ASSERT_EQ(responses[i].scores.size(), (*legacy)[i].size());
-    for (std::size_t h = 0; h < responses[i].scores.size(); ++h) {
-      // Bit-identical, not approximately equal: both paths run the same
-      // fixed-order kernels on the same snapshot.
-      EXPECT_EQ(responses[i].scores[h], (*legacy)[i][h]);
-    }
-  }
-}
-
-TEST(RequestSurfaceTest, RankedModeMatchesRecommend) {
-  auto engine = MakeEngine();
-  auto legacy = engine->Recommend({2, 4, 6}, 7);
-  ASSERT_TRUE(legacy.ok());
-
-  Request request = MakeRequest({2, 4, 6}, 7);
-  const Response response = engine->Handle(request);
-  ASSERT_TRUE(response.ok()) << response.message;
-  EXPECT_EQ(response.herb_ids, *legacy);
-  EXPECT_TRUE(response.scores.empty());
-}
-
-TEST(RequestSurfaceTest, SubmitShimMatchesSubmitRequest) {
-  auto engine = MakeEngine();
-  auto legacy = engine->Submit({3, 9}, 5).get();
-  ASSERT_TRUE(legacy.ok());
-
-  Request request = MakeRequest({3, 9}, 5);
-  const Response response = engine->SubmitRequest(std::move(request)).get();
-  ASSERT_TRUE(response.ok()) << response.message;
-  EXPECT_EQ(response.herb_ids, *legacy);
-  EXPECT_EQ(response.version, "v1");
-}
 
 TEST(RequestSurfaceTest, InvalidRequestsGetPerRequestErrors) {
   auto engine = MakeEngine();
@@ -1264,6 +1048,7 @@ TEST(RequestSurfaceTest, InvalidRequestsGetPerRequestErrors) {
   EXPECT_FALSE(responses[2].message.empty());
   // Errors are attributable: routing succeeded, so model/version are set.
   EXPECT_EQ(responses[1].model, "test-ckpt");
+  EXPECT_TRUE(engine->HandleBatch({}).empty());  // empty batch is fine
 }
 
 TEST(RequestSurfaceTest, VersionPinGuardsAcrossSwaps) {
@@ -1297,6 +1082,61 @@ TEST(RequestSurfaceTest, AsyncRejectsDenseMode) {
   const Response response = engine->SubmitRequest(std::move(request)).get();
   EXPECT_EQ(response.status, StatusCode::kInvalidArgument);
   EXPECT_NE(response.message.find("synchronous"), std::string::npos);
+}
+
+TEST(RequestSurfaceTest, AsyncRejectionsCarryIdModelAndVersion) {
+  // Every async outcome is attributable: a rejection carries the request's
+  // correlation id (echoed or minted) and the model/version it was bound
+  // to, whichever admission or batcher check produced it.
+  ServingEngineOptions options;
+  options.max_queue_depth = 1;
+  auto engine = MakeEngine(options);
+  const auto expect_attributable = [](const Response& response,
+                                      StatusCode status) {
+    EXPECT_EQ(response.status, status) << response.message;
+    EXPECT_FALSE(response.request_id.empty()) << response.message;
+    EXPECT_EQ(response.model, "test-ckpt") << response.message;
+    EXPECT_EQ(response.version, "v1") << response.message;
+  };
+
+  // Dense mode is rejected by the one admission path, so it counts as a
+  // submission like every other admission rejection.
+  const obs::Counter* submitted =
+      obs::Registry::Global().GetCounter("serve.submitted");
+  const std::uint64_t submitted_before = submitted->value();
+  expect_attributable(engine->SubmitRequest(MakeRequest({1}, 0)).get(),
+                      StatusCode::kInvalidArgument);
+  EXPECT_EQ(submitted->value(), submitted_before + 1);
+
+  Request pinned = MakeRequest({1, 2}, 5);
+  pinned.version = "v0";
+  pinned.request_id = "pin-1";
+  const Response pin = engine->SubmitRequest(pinned).get();
+  expect_attributable(pin, StatusCode::kUnavailable);
+  EXPECT_EQ(pin.request_id, "pin-1");
+
+  expect_attributable(engine->SubmitRequest(MakeRequest({999}, 5)).get(),
+                      StatusCode::kInvalidArgument);
+
+  Request late = MakeRequest({1, 2}, 5);
+  late.deadline_ms = 1e-7;  // expired before the batcher can score it
+  expect_attributable(engine->SubmitRequest(std::move(late)).get(),
+                      StatusCode::kDeadlineExceeded);
+
+  {
+    // Every slot busy: the first request fills the one-deep queue and the
+    // second is shed.
+    ServingEngineTestPeer busy(engine.get(), ServingEngineTestPeer::kAllSlots);
+    auto queued = engine->SubmitRequest(MakeRequest({1, 2}, 5));
+    expect_attributable(engine->SubmitRequest(MakeRequest({3, 4}, 5)).get(),
+                        StatusCode::kShedding);
+    busy.Release();
+    EXPECT_TRUE(queued.get().ok());
+  }
+
+  engine->Shutdown();
+  expect_attributable(engine->SubmitRequest(MakeRequest({1, 2}, 5)).get(),
+                      StatusCode::kUnavailable);
 }
 
 TEST(RequestSurfaceTest, SyncDeadlineNeverReturnsLateOk) {
@@ -1349,14 +1189,6 @@ TEST(RequestSurfaceTest, FullQueueShedsWithSheddingStatus) {
   }
   EXPECT_EQ(ok, 2u);
   EXPECT_EQ(shed, 8u);
-
-  // The legacy Submit shim rides the same bounded queue and reports the
-  // internal spelling of the same status.
-  auto legacy = engine->Submit({1, 2}, 5);
-  auto result = legacy.get();
-  if (!result.ok()) {
-    EXPECT_EQ(result.status().code(), smgcn::StatusCode::kResourceExhausted);
-  }
 }
 
 TEST(RequestSurfaceTest, ShedRequestsCountInObsRegistry) {
@@ -1374,37 +1206,6 @@ TEST(RequestSurfaceTest, ShedRequestsCountInObsRegistry) {
   const auto* shed = obs::Registry::Global().GetCounter(
       engine->obs_prefix() + "shed");
   EXPECT_EQ(shed->value(), 3u);
-}
-
-TEST(RequestSurfaceTest, DeprecatedShimsWarnAtMostOncePerEntryPoint) {
-  // LogWarningOnce keys are process-global, so earlier tests may already
-  // have consumed the single warning; what this asserts is the dedup: many
-  // calls never produce a second line per entry point.
-  std::vector<std::string> captured;
-  SetLogSink([&captured](LogLevel level, const std::string& line) {
-    if (level == LogLevel::kWarning) captured.push_back(line);
-  });
-  auto engine = MakeEngine();
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(engine->ScoreBatch({{1, 2}}).ok());
-    ASSERT_TRUE(engine->RecommendBatch({{1, 2}}, 5).ok());
-    ASSERT_TRUE(engine->Score({1, 2}).ok());
-    ASSERT_TRUE(engine->Recommend({1, 2}, 5).ok());
-    ASSERT_TRUE(engine->Submit({1, 2}, 5).get().ok());
-  }
-  SetLogSink(nullptr);
-  for (const char* key :
-       {"ServingEngine::ScoreBatch is deprecated",
-        "ServingEngine::RecommendBatch is deprecated",
-        "ServingEngine::Score is deprecated",
-        "ServingEngine::Recommend is deprecated",
-        "ServingEngine::Submit is deprecated"}) {
-    std::size_t count = 0;
-    for (const std::string& line : captured) {
-      if (line.find(key) != std::string::npos) ++count;
-    }
-    EXPECT_LE(count, 1u) << key;
-  }
 }
 
 TEST(RequestSurfaceTest, ShutdownDrainAnswersQueuedRequests) {
@@ -1464,7 +1265,7 @@ TEST(AttributionTest, ParityAcrossPrecisionsPathsAndThreads) {
     // herbs[path][thread-config] collected for cross-path comparison.
     std::vector<std::vector<audit::HerbAttribution>> collected;
     for (const int threads : {1, 4}) {
-      parallel::SetNumThreads(threads);
+      ScopedNumThreads threads_scope(threads);
       ServingEngineOptions options;
       options.precision = precision;
       auto engine = ServingEngine::Create(
@@ -1485,10 +1286,10 @@ TEST(AttributionTest, ParityAcrossPrecisionsPathsAndThreads) {
 
       // The served scores are the dense scores for the same query: the
       // attribution decomposes exactly what the ranking saw.
-      auto dense = (*engine)->Score(symptoms);
-      ASSERT_TRUE(dense.ok());
+      const Response dense = (*engine)->Handle(MakeRequest(symptoms, 0));
+      ASSERT_TRUE(dense.ok()) << dense.message;
       for (const audit::HerbAttribution& herb : sync.attribution->herbs) {
-        EXPECT_EQ(herb.score, (*dense)[herb.herb_id]);
+        EXPECT_EQ(herb.score, dense.scores[herb.herb_id]);
         EXPECT_TRUE(herb.has_components);
         // With components the split is informative: the bipar term is not
         // just the whole score.
@@ -1538,7 +1339,6 @@ TEST(AttributionTest, ParityAcrossPrecisionsPathsAndThreads) {
       }
     }
   }
-  parallel::SetNumThreads(1);
 }
 
 TEST(AttributionTest, F64MatchesCheckpointReference) {
@@ -1606,8 +1406,11 @@ TEST(AttributionTest, RequestIdMintedEchoedAndSlowLogged) {
   Request minted_req = MakeRequest({2, 4}, 5);
   const Response minted = (*engine)->Handle(minted_req);
   ASSERT_TRUE(minted.ok());
-  EXPECT_FALSE(minted.request_id.empty());
   EXPECT_NE(minted.request_id, "client-id-7");
+  // Minted ids are 16 lowercase hex digits.
+  EXPECT_EQ(minted.request_id.size(), 16u);
+  EXPECT_EQ(minted.request_id.find_first_not_of("0123456789abcdef"),
+            std::string::npos);
   Request async_req = MakeRequest({1, 5}, 5);
   async_req.request_id = "async-id-9";
   const Response async = (*engine)->SubmitRequest(std::move(async_req)).get();

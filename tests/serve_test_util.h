@@ -1,6 +1,7 @@
 // Test-only helpers shared by the serving and network suites: a Request
-// builder, and a peer that holds a ServingEngine's in-flight batch slots so
-// the micro-batcher's dispatch decisions are deterministic.
+// builder, dense store scoring, a scoped process-wide thread count, and a
+// peer that holds a ServingEngine's in-flight batch slots so the
+// micro-batcher's dispatch decisions are deterministic.
 #ifndef SMGCN_TESTS_SERVE_TEST_UTIL_H_
 #define SMGCN_TESTS_SERVE_TEST_UTIL_H_
 
@@ -9,8 +10,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/serve/embedding_store.h"
 #include "src/serve/engine.h"
 #include "src/serve/request.h"
+#include "src/util/parallel.h"
 
 namespace smgcn {
 namespace serve {
@@ -25,6 +28,38 @@ inline Request MakeRequest(std::vector<int> symptoms, std::size_t top_k) {
   request.top_k = top_k;
   return request;
 }
+
+/// Dense score rows for `batch` through the store's one scoring entry point.
+inline std::vector<std::vector<double>> ScoreRows(
+    const EmbeddingStore& store, const std::vector<CanonicalQuery>& batch) {
+  std::vector<std::vector<double>> rows(batch.size());
+  store.ScoreBatchInto(batch, rows.data());
+  return rows;
+}
+
+/// One query's dense scores: ScoreBatchInto at batch size 1.
+inline std::vector<double> ScoreRow(const EmbeddingStore& store,
+                                    const CanonicalQuery& query) {
+  return ScoreRows(store, {query}).front();
+}
+
+/// Sets the process-wide parallel worker count for a scope and restores the
+/// previous count on exit, so a test leaves no thread count behind for the
+/// tests after it, in whatever order they run. Engines size their pools at
+/// Create: declare this before the engine so the engine is destroyed first.
+class ScopedNumThreads {
+ public:
+  explicit ScopedNumThreads(std::size_t n)
+      : previous_(parallel::GetNumThreads()) {
+    parallel::SetNumThreads(n);
+  }
+  ~ScopedNumThreads() { parallel::SetNumThreads(previous_); }
+  ScopedNumThreads(const ScopedNumThreads&) = delete;
+  ScopedNumThreads& operator=(const ScopedNumThreads&) = delete;
+
+ private:
+  std::size_t previous_;
+};
 
 /// Occupies `slots` of an engine's in-flight batch slots until Release()
 /// (or destruction), exactly as that many scoring batches would. With one
